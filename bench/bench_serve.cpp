@@ -16,7 +16,8 @@
 // Results land in BENCH_serve.json.
 //
 // Knobs: TSTEINER_SERVE_SESSIONS (default 100), TSTEINER_SERVE_THREADS
-// (client threads, default 8), TSTEINER_SERVE_ROUNDS (what-if rounds per
+// (client threads, default std::thread::hardware_concurrency()),
+// TSTEINER_SERVE_ROUNDS (what-if rounds per
 // session, default 3), TSTEINER_SERVE_SNAPSHOTS (default 4; every 4th is
 // "small" scale, the rest "tiny"), TSTEINER_SERVE_SAMPLE (bit-identity
 // replay stride, default 10), TSTEINER_THREADS (server pool width).
@@ -181,7 +182,9 @@ SessionOutcome replay_direct(const SessionPlan& plan) {
 
 int main() {
   const int sessions = std::max(1, env_int("TSTEINER_SERVE_SESSIONS", 100));
-  const int threads = std::max(1, env_int("TSTEINER_SERVE_THREADS", 8));
+  const int threads = std::max(
+      1, env_int("TSTEINER_SERVE_THREADS",
+                 static_cast<int>(std::thread::hardware_concurrency())));
   const int rounds = std::max(1, env_int("TSTEINER_SERVE_ROUNDS", 3));
   const int num_snaps = std::max(1, env_int("TSTEINER_SERVE_SNAPSHOTS", 4));
   const int sample_stride = std::max(1, env_int("TSTEINER_SERVE_SAMPLE", 10));

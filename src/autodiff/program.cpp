@@ -116,12 +116,14 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
     // gradient tensor, the first accumulation of a replay can assign
     // `0.0 + x` instead of zero-then-accumulate (bit-identical, see
     // run_backward); kernels that touch a subset (relu, gather_rows,
-    // segment_max) — or an operand the op uses twice, e.g. mul(x, x) —
-    // fall back to an explicit zeroing just before the op runs.
+    // segment_max, arrival_propagate) or only accumulate (the tree ops) —
+    // or an operand the op uses twice, e.g. mul(x, x) — fall back to an
+    // explicit zeroing just before the op runs.
     const auto code = tape_.ops_[idx].code;
-    const bool covers_fully = code != Tape::OpCode::kRelu &&
-                              code != Tape::OpCode::kGatherRows &&
-                              code != Tape::OpCode::kSegmentMax;
+    const bool covers_fully =
+        code != Tape::OpCode::kRelu && code != Tape::OpCode::kGatherRows &&
+        code != Tape::OpCode::kSegmentMax && code != Tape::OpCode::kArrivalPropagate &&
+        code != Tape::OpCode::kTreeScan && code != Tape::OpCode::kTreeReduce;
     const std::size_t first_j = bwd_inputs_.size();
     for (int a : ins) {
       const auto ai = static_cast<std::size_t>(a);
@@ -150,8 +152,7 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
   // operand is safe precisely because this op was its sole contributor. An
   // op whose needed operands are all forwarded vanishes from the replay
   // schedule entirely; one kept for a genuine multi-contribution sum still
-  // skips the copy halves. This is the dominant backward saving in the
-  // GNN's add-heavy arrival propagation. Chains collapse because consumers
+  // skips the copy halves. Chains collapse because consumers
   // (higher ids) are processed first, so `redirect_` entries are already
   // fully resolved when an operand looks one up.
   {

@@ -48,6 +48,75 @@ void accumulate_pointwise(bool fresh, Tensor& dst, std::size_t n, Expr&& expr) {
   }
 }
 
+void check(bool ok, const char* what) {
+  if (!ok) throw std::runtime_error(what);
+}
+
+/// Enforce the ArrivalIndex contract (see tape.hpp) against `delays` rows.
+void validate_arrival(const ArrivalIndex& ix, const std::vector<std::size_t>& stage_rows) {
+  const std::size_t stages = stage_rows.size();
+  check(ix.stage_arc_off.size() == stages + 1 && ix.stage_seg_off.size() == stages + 1,
+        "arrival_propagate: one delay column per stage");
+  check(ix.stage_arc_off.front() == 0 && ix.stage_seg_off.front() == 0 &&
+            static_cast<std::size_t>(ix.stage_arc_off.back()) == ix.arc_src.size() &&
+            ix.arc_seg.size() == ix.arc_src.size() &&
+            static_cast<std::size_t>(ix.stage_seg_off.back()) == ix.seg_dst.size(),
+        "arrival_propagate: offsets do not cover the index arrays");
+  const auto np = static_cast<int>(ix.num_pins);
+  std::vector<int> writer(ix.num_pins, -1);  // stage writing each pin
+  for (std::size_t s = 0; s < stages; ++s) {
+    const int a0 = ix.stage_arc_off[s], a1 = ix.stage_arc_off[s + 1];
+    const int g0 = ix.stage_seg_off[s], g1 = ix.stage_seg_off[s + 1];
+    check(a0 <= a1 && static_cast<std::size_t>(a1) <= ix.arc_src.size() && g0 <= g1 &&
+              static_cast<std::size_t>(g1) <= ix.seg_dst.size(),
+          "arrival_propagate: offsets must be ascending");
+    check(static_cast<std::size_t>(a1 - a0) == stage_rows[s],
+          "arrival_propagate: delay rows differ from the stage's arc count");
+    for (int g = g0; g < g1; ++g) {
+      const int p = ix.seg_dst[static_cast<std::size_t>(g)];
+      check(p >= 0 && p < np, "arrival_propagate: output pin out of range");
+      check(writer[static_cast<std::size_t>(p)] < 0, "arrival_propagate: pin written twice");
+      writer[static_cast<std::size_t>(p)] = static_cast<int>(s);
+    }
+    for (int k = a0; k < a1; ++k) {
+      const int g = ix.arc_seg[static_cast<std::size_t>(k)];
+      check(g >= g0 && g < g1, "arrival_propagate: arc segment outside its stage");
+      const int p = ix.arc_src[static_cast<std::size_t>(k)];
+      check(p >= -1 && p < np, "arrival_propagate: source pin out of range");
+      check(p < 0 || writer[static_cast<std::size_t>(p)] != static_cast<int>(s),
+            "arrival_propagate: a stage reads a pin it writes");
+    }
+  }
+}
+
+/// Enforce the TreeIndex contract (see tape.hpp).
+void validate_tree(const TreeIndex& t) {
+  check(t.pa.size() == t.ch.size() && !t.level_off.empty() && t.level_off.front() == 0 &&
+            static_cast<std::size_t>(t.level_off.back()) == t.ch.size(),
+        "tree op: offsets do not cover the edge arrays");
+  const auto n = static_cast<int>(t.num_nodes);
+  std::vector<int> level(t.num_nodes, -1);  // level of the edge writing each node
+  for (std::size_t l = 0; l + 1 < t.level_off.size(); ++l) {
+    check(t.level_off[l] <= t.level_off[l + 1] &&
+              static_cast<std::size_t>(t.level_off[l + 1]) <= t.ch.size(),
+          "tree op: offsets must be ascending");
+    for (int e = t.level_off[l]; e < t.level_off[l + 1]; ++e) {
+      const int c = t.ch[static_cast<std::size_t>(e)];
+      check(c >= 0 && c < n, "tree op: child out of range");
+      check(level[static_cast<std::size_t>(c)] < 0, "tree op: node is the child of two edges");
+      level[static_cast<std::size_t>(c)] = static_cast<int>(l);
+    }
+  }
+  for (std::size_t l = 0; l + 1 < t.level_off.size(); ++l) {
+    for (int e = t.level_off[l]; e < t.level_off[l + 1]; ++e) {
+      const int p = t.pa[static_cast<std::size_t>(e)];
+      check(p >= 0 && p < n, "tree op: parent out of range");
+      check(level[static_cast<std::size_t>(p)] < static_cast<int>(l),
+            "tree op: parent is written at the same or a later level");
+    }
+  }
+}
+
 }  // namespace
 
 Value Tape::leaf(Tensor value, bool requires_grad) {
@@ -110,7 +179,7 @@ Tape::Stats Tape::stats() const {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (ops_[i].code == OpCode::kLeaf) ++s.num_leaves;
     s.value_doubles += nodes_[i].value.size();
-    s.grad_doubles += nodes_[i].grad.size();
+    s.grad_doubles += nodes_[i].grad.size() + ops_[i].acc.size();
   }
   return s;
 }
@@ -333,6 +402,51 @@ Value Tape::segment_sum(Value a, std::vector<int> segments, std::size_t num_segm
   return scatter_add_rows(a, std::move(segments), num_segments);
 }
 
+Value Tape::arrival_propagate(const std::vector<Value>& delays,
+                              std::shared_ptr<const ArrivalIndex> index) {
+  check(index != nullptr, "arrival_propagate: null index");
+  std::vector<std::size_t> rows;
+  rows.reserve(delays.size());
+  for (Value d : delays) {
+    check(value(d).cols() == 1, "arrival_propagate: delays must be columns");
+    rows.push_back(value(d).rows());
+  }
+  validate_arrival(*index, rows);
+  OpRecord op;
+  op.code = OpCode::kArrivalPropagate;
+  op.inputs.reserve(delays.size());
+  for (Value d : delays) op.inputs.push_back(d.id);
+  const std::size_t num_pins = index->num_pins;
+  op.arrival = std::move(index);
+  return push(num_pins, 1, std::move(op));
+}
+
+Value Tape::tree_scan(Value w, std::shared_ptr<const TreeIndex> tree) {
+  check(tree != nullptr, "tree_scan: null index");
+  validate_tree(*tree);
+  check(value(w).cols() == 1 && value(w).rows() == tree->ch.size(),
+        "tree_scan: w must be an edges x 1 column");
+  OpRecord op;
+  op.code = OpCode::kTreeScan;
+  op.a = w.id;
+  const std::size_t rows = tree->num_nodes;
+  op.tree = std::move(tree);
+  return push(rows, 1, std::move(op));
+}
+
+Value Tape::tree_reduce(Value x, std::shared_ptr<const TreeIndex> tree) {
+  check(tree != nullptr, "tree_reduce: null index");
+  validate_tree(*tree);
+  check(value(x).cols() == 1 && value(x).rows() == tree->num_nodes,
+        "tree_reduce: x must be a nodes x 1 column");
+  OpRecord op;
+  op.code = OpCode::kTreeReduce;
+  op.a = x.id;
+  const std::size_t rows = tree->num_nodes;
+  op.tree = std::move(tree);
+  return push(rows, 1, std::move(op));
+}
+
 Value Tape::sum_all(Value a) {
   OpRecord op;
   op.code = OpCode::kSumAll;
@@ -548,6 +662,69 @@ void Tape::run_forward(std::size_t i) {
       });
       return;
     }
+    case OpCode::kArrivalPropagate: {
+      // Serial: stages are a few arcs wide, far below any useful parallel
+      // grain, and one pass in stage order is the sequential semantics.
+      const ArrivalIndex& ix = *r.arrival;
+      std::fill(vo.data().begin(), vo.data().end(), 0.0);
+      if (r.argmax.size() != ix.seg_dst.size()) {
+        r.argmax.assign(ix.seg_dst.size(), -1);
+        ++allocations_;
+      }
+      std::vector<int>& am = r.argmax;
+      for (std::size_t s = 0; s < r.inputs.size(); ++s) {
+        const Tensor& d = nodes_[static_cast<std::size_t>(r.inputs[s])].value;
+        const int a0 = ix.stage_arc_off[s], a1 = ix.stage_arc_off[s + 1];
+        const int g0 = ix.stage_seg_off[s], g1 = ix.stage_seg_off[s + 1];
+        std::fill(am.begin() + g0, am.begin() + g1, -1);
+        // Running max in the output row itself: no arc of this stage reads
+        // a pin the stage writes (checked at record time).
+        for (int k = a0; k < a1; ++k) {
+          const auto ku = static_cast<std::size_t>(k);
+          const int src = ix.arc_src[ku];
+          const double dk = d[static_cast<std::size_t>(k - a0)];
+          const double cand = src < 0 ? dk : vo[static_cast<std::size_t>(src)] + dk;
+          const int g = ix.arc_seg[ku];
+          const auto dst = static_cast<std::size_t>(ix.seg_dst[static_cast<std::size_t>(g)]);
+          if (am[static_cast<std::size_t>(g)] < 0 || cand > vo[dst]) {
+            vo[dst] = cand;
+            am[static_cast<std::size_t>(g)] = k;
+          }
+        }
+        for (int g = g0; g < g1; ++g) {
+          const auto dst = static_cast<std::size_t>(ix.seg_dst[static_cast<std::size_t>(g)]);
+          vo[dst] = 0.0 + vo[dst];
+        }
+      }
+      return;
+    }
+    case OpCode::kTreeScan: {
+      const TreeIndex& t = *r.tree;
+      const Tensor& w = nodes_[static_cast<std::size_t>(r.a)].value;
+      std::fill(vo.data().begin(), vo.data().end(), 0.0);
+      // Edges are level-grouped and a parent is written at a lower level,
+      // so plain edge order reads every parent's final value.
+      for (std::size_t e = 0; e < t.ch.size(); ++e) {
+        const auto p = static_cast<std::size_t>(t.pa[e]);
+        vo[static_cast<std::size_t>(t.ch[e])] = 0.0 + (vo[p] + w[e]);
+      }
+      return;
+    }
+    case OpCode::kTreeReduce: {
+      const TreeIndex& t = *r.tree;
+      const Tensor& x = nodes_[static_cast<std::size_t>(r.a)].value;
+      // vo holds each node's children sum until the final pass; a child's
+      // own sum is complete once the deeper levels are done.
+      std::fill(vo.data().begin(), vo.data().end(), 0.0);
+      for (std::size_t l = t.level_off.size() - 1; l-- > 0;) {
+        for (int e = t.level_off[l]; e < t.level_off[l + 1]; ++e) {
+          const auto c = static_cast<std::size_t>(t.ch[static_cast<std::size_t>(e)]);
+          vo[static_cast<std::size_t>(t.pa[static_cast<std::size_t>(e)])] += x[c] + vo[c];
+        }
+      }
+      for (std::size_t n = 0; n < vo.size(); ++n) vo[n] = x[n] + vo[n];
+      return;
+    }
     case OpCode::kSumAll: {
       const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
       double s = 0.0;
@@ -595,7 +772,7 @@ void Tape::run_forward(std::size_t i) {
 
 void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
                         const std::vector<std::uint8_t>* fresh, int grad_from) {
-  const OpRecord& r = ops_[i];
+  OpRecord& r = ops_[i];  // non-const: fused ops keep their accumulator here
   const auto needed = [need](int id) {
     return need == nullptr || (*need)[static_cast<std::size_t>(id)] != 0;
   };
@@ -883,6 +1060,85 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
       });
       return;
     }
+    case OpCode::kArrivalPropagate: {
+      // acc[p]: gradient reaching pin p's arrival, seeded with the output
+      // gradient and fed by every later stage that read p. Stages run in
+      // reverse and arcs in index order: the accumulation order
+      // docs/autodiff.md fixes.
+      const ArrivalIndex& ix = *r.arrival;
+      if (r.acc.size() != ix.num_pins) {
+        r.acc.assign(ix.num_pins, 0.0);
+        ++allocations_;
+      }
+      std::vector<double>& acc = r.acc;
+      for (std::size_t p = 0; p < acc.size(); ++p) acc[p] = 0.0 + g[p];
+      const std::vector<int>& am = r.argmax;
+      for (std::size_t s = r.inputs.size(); s-- > 0;) {
+        const int in = r.inputs[s];
+        Tensor* gd = nullptr;
+        if (needed(in)) {
+          ensure_grad(Value{in});
+          gd = &grad_ref(Value{in});
+        }
+        const int a0 = ix.stage_arc_off[s], a1 = ix.stage_arc_off[s + 1];
+        for (int k = a0; k < a1; ++k) {
+          const auto ku = static_cast<std::size_t>(k);
+          const auto seg = static_cast<std::size_t>(ix.arc_seg[ku]);
+          if (am[seg] != k) continue;  // losing arcs get no gradient
+          const double gs = acc[static_cast<std::size_t>(ix.seg_dst[seg])];
+          if (gd != nullptr) (*gd)[static_cast<std::size_t>(k - a0)] += gs;
+          const int src = ix.arc_src[ku];
+          if (src >= 0) acc[static_cast<std::size_t>(src)] += gs;
+        }
+      }
+      return;
+    }
+    case OpCode::kTreeScan: {
+      if (!needed(r.a)) return;
+      ensure_grad(va_v);
+      Tensor& gw = grad_ref(va_v);
+      const TreeIndex& t = *r.tree;
+      if (r.acc.size() != t.num_nodes) {
+        r.acc.assign(t.num_nodes, 0.0);
+        ++allocations_;
+      }
+      // acc[n]: gradient of out[n] including its whole subtree, deepest
+      // level first, parents accumulated in edge order.
+      std::vector<double>& acc = r.acc;
+      for (std::size_t n = 0; n < acc.size(); ++n) acc[n] = 0.0 + g[n];
+      for (std::size_t l = t.level_off.size() - 1; l-- > 0;) {
+        for (int e = t.level_off[l]; e < t.level_off[l + 1]; ++e) {
+          const auto eu = static_cast<std::size_t>(e);
+          const double h = acc[static_cast<std::size_t>(t.ch[eu])];
+          gw[eu] += h;
+          acc[static_cast<std::size_t>(t.pa[eu])] += h;
+        }
+      }
+      return;
+    }
+    case OpCode::kTreeReduce: {
+      if (!needed(r.a)) return;
+      ensure_grad(va_v);
+      Tensor& gx = grad_ref(va_v);
+      const TreeIndex& t = *r.tree;
+      if (r.acc.size() != t.num_nodes) {
+        r.acc.assign(t.num_nodes, 0.0);
+        ++allocations_;
+      }
+      // acc[n]: gradient of x[n] = its own output gradient plus its
+      // parent's, shallowest level first.
+      std::vector<double>& acc = r.acc;
+      for (std::size_t n = 0; n < acc.size(); ++n) acc[n] = 0.0 + g[n];
+      for (std::size_t l = 0; l + 1 < t.level_off.size(); ++l) {
+        for (int e = t.level_off[l]; e < t.level_off[l + 1]; ++e) {
+          const auto eu = static_cast<std::size_t>(e);
+          const auto c = static_cast<std::size_t>(t.ch[eu]);
+          acc[c] = acc[c] + acc[static_cast<std::size_t>(t.pa[eu])];
+        }
+      }
+      for (std::size_t n = 0; n < acc.size(); ++n) gx[n] += acc[n];
+      return;
+    }
     case OpCode::kSumAll: {
       if (!needed(r.a)) return;
       ensure_grad(va_v);
@@ -933,7 +1189,7 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
 void Tape::append_inputs(std::size_t i, std::vector<int>& out) const {
   const OpRecord& r = ops_[i];
   if (r.code == OpCode::kLeaf) return;
-  if (r.code == OpCode::kConcatCols) {
+  if (r.code == OpCode::kConcatCols || r.code == OpCode::kArrivalPropagate) {
     out.insert(out.end(), r.inputs.begin(), r.inputs.end());
     return;
   }

@@ -7,7 +7,9 @@
 // weights. The op set is exactly what the customized GNN and the smoothed
 // WNS/TNS penalty need: dense linear algebra, pointwise nonlinearities,
 // gather/scatter for message passing, segment reductions for max-style
-// aggregation, and numerically stable Log-Sum-Exp (Eq. 5).
+// aggregation, numerically stable Log-Sum-Exp (Eq. 5), and three fused
+// level-wise propagation ops (arrival_propagate, tree_scan, tree_reduce)
+// that write only each level's frontier rows into one output.
 //
 // Each recorded op is a compact OpRecord (opcode + operand ids + immediates)
 // executed by switch-based forward/backward kernels; the eager builders and
@@ -18,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "autodiff/tensor.hpp"
@@ -28,6 +31,33 @@ namespace tsteiner {
 struct Value {
   int id = -1;
   bool valid() const { return id >= 0; }
+};
+
+/// Index structure of Tape::arrival_propagate: an ordered list of stages.
+/// Stage s owns arcs [stage_arc_off[s], stage_arc_off[s+1]) and segments
+/// [stage_seg_off[s], stage_seg_off[s+1]); each arc reads its source pin's
+/// arrival (-1: no source, the candidate is the delay alone) and joins one
+/// segment of its own stage; each segment max-reduces into one output pin.
+/// Contract (checked when the op is recorded): every output pin is written
+/// by exactly one segment, and no stage reads a pin it writes.
+struct ArrivalIndex {
+  std::size_t num_pins = 0;
+  std::vector<int> stage_arc_off{0};
+  std::vector<int> stage_seg_off{0};
+  std::vector<int> arc_src;
+  std::vector<int> arc_seg;
+  std::vector<int> seg_dst;
+};
+
+/// Index structure of Tape::tree_scan / tree_reduce: directed edges
+/// parent -> child grouped by level, level l owning edges
+/// [level_off[l], level_off[l+1]). Contract (checked when recorded): every
+/// node is the child of at most one edge, and an edge's parent is only the
+/// child of an edge at a strictly lower level.
+struct TreeIndex {
+  std::size_t num_nodes = 0;
+  std::vector<int> pa, ch;
+  std::vector<int> level_off{0};
 };
 
 class Tape {
@@ -53,7 +83,7 @@ class Tape {
     std::size_t num_nodes = 0;
     std::size_t num_leaves = 0;
     std::size_t value_doubles = 0;  ///< forward arena, in doubles
-    std::size_t grad_doubles = 0;   ///< gradient arena currently allocated
+    std::size_t grad_doubles = 0;   ///< gradient arena (incl. backward scratch)
     std::uint64_t allocations = 0;  ///< cumulative buffer allocations
   };
   Stats stats() const;
@@ -101,6 +131,23 @@ class Tape {
   /// out.row(s) = sum over rows i with segment[i] == s.
   Value segment_sum(Value a, std::vector<int> segments, std::size_t num_segments);
 
+  // --- fused level-wise propagation (docs/autodiff.md) ----------------------
+  /// Topological max-plus propagation over a DAG, stage by stage:
+  ///   cand_k = out[src_k] + delays[s][k]        (cand_k = delay when src_k < 0)
+  ///   out[dst_g] = 0.0 + max_{k in g} cand_k    (first member wins ties)
+  /// `delays[s]` is the (arcs of stage s) x 1 delay column; the result is
+  /// num_pins x 1 with unwritten pins at 0. The backward pass routes each
+  /// segment's gradient through its argmax arc into that arc's delay and
+  /// source pin, in reverse stage order.
+  Value arrival_propagate(const std::vector<Value>& delays,
+                          std::shared_ptr<const ArrivalIndex> index);
+  /// Root-to-leaf accumulation: out[ch_e] = 0.0 + (out[pa_e] + w[e]) in
+  /// level order, nodes that are no edge's child at 0. `w` is edges x 1.
+  Value tree_scan(Value w, std::shared_ptr<const TreeIndex> tree);
+  /// Leaf-to-root subtree sum: out[n] = x[n] + (0.0 + sum of out[c] over
+  /// n's children c, in edge order). `x` is nodes x 1.
+  Value tree_reduce(Value x, std::shared_ptr<const TreeIndex> tree);
+
   // --- reductions -----------------------------------------------------------
   Value sum_all(Value a);  ///< 1x1
   Value mean_all(Value a);
@@ -138,6 +185,9 @@ class Tape {
     kGatherRows,     // indices = source rows
     kScatterAddRows, // indices = destination rows, dim0 = out_rows
     kSegmentMax,     // indices = segments, dim0 = num_segments, s0 = empty_fill
+    kArrivalPropagate,  // inputs = per-stage delays, arrival = index
+    kTreeScan,       // tree = index
+    kTreeReduce,     // tree = index
     kSumAll,
     kLogSumExp,      // s0 = gamma; m/z recomputed by every forward
     kSoftMin0,       // s0 = gamma
@@ -153,9 +203,12 @@ class Tape {
     std::vector<int> indices;   ///< gather / scatter / segment map
     std::vector<int> inputs;    ///< concat operands
     Tensor constant;            ///< mse target
+    std::shared_ptr<const ArrivalIndex> arrival;  ///< arrival_propagate topology
+    std::shared_ptr<const TreeIndex> tree;        ///< tree_scan / tree_reduce topology
     // Value-dependent scratch, overwritten by every forward execution and
     // consumed by the matching backward (preallocated at first execution).
-    std::vector<int> argmax;    ///< segment_max winner rows
+    std::vector<int> argmax;    ///< segment_max / arrival_propagate winner rows
+    std::vector<double> acc;    ///< fused-op backward accumulator (one per node)
     double m = 0.0;             ///< log_sum_exp max
     double z = 0.0;             ///< log_sum_exp normalizer
   };

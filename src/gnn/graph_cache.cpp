@@ -124,15 +124,21 @@ std::shared_ptr<const GraphCache> build_graph_cache(const Design& design,
                    [](const DepthEdge& a, const DepthEdge& b) { return a.depth < b.depth; });
   int max_depth = 0;
   for (const DepthEdge& e : dedges) max_depth = std::max(max_depth, e.depth);
-  g.level_off.assign(static_cast<std::size_t>(max_depth) + 2, 0);
-  for (const DepthEdge& e : dedges) ++g.level_off[static_cast<std::size_t>(e.depth) + 1];
-  for (std::size_t l = 1; l < g.level_off.size(); ++l) g.level_off[l] += g.level_off[l - 1];
-  g.edge_pa.reserve(dedges.size());
+  auto edges = std::make_shared<TreeIndex>();
+  edges->num_nodes = static_cast<std::size_t>(g.num_snodes);
+  edges->level_off.assign(static_cast<std::size_t>(max_depth) + 2, 0);
+  for (const DepthEdge& e : dedges) ++edges->level_off[static_cast<std::size_t>(e.depth) + 1];
+  for (std::size_t l = 1; l < edges->level_off.size(); ++l) {
+    edges->level_off[l] += edges->level_off[l - 1];
+  }
+  edges->pa.reserve(dedges.size());
+  edges->ch.reserve(dedges.size());
   for (const DepthEdge& e : dedges) {
-    g.edge_pa.push_back(e.pa);
-    g.edge_ch.push_back(e.ch);
+    edges->pa.push_back(e.pa);
+    edges->ch.push_back(e.ch);
     g.edge_tree.push_back(e.tree);
   }
+  g.edges = std::move(edges);
 
   // ---- per-net constants -----------------------------------------------------
   g.net_tree = forest.net_to_tree;
@@ -188,11 +194,15 @@ std::shared_ptr<const GraphCache> build_graph_cache(const Design& design,
 
   // ---- derived per-arc arrays -----------------------------------------------
   g.net_arc_sink_snode.reserve(g.net_arcs.size());
+  g.net_arc_driver_snode.reserve(g.net_arcs.size());
   g.net_arc_tree.reserve(g.net_arcs.size());
   for (const GraphCache::NetArc& a : g.net_arcs) {
     const int s = g.pin_snode[static_cast<std::size_t>(a.sink_pin)];
     if (s < 0) throw std::runtime_error("net-arc sink missing snode");
     g.net_arc_sink_snode.push_back(s);
+    const int d = g.pin_snode[static_cast<std::size_t>(a.driver_pin)];
+    if (d < 0) throw std::runtime_error("driver pin missing snode");
+    g.net_arc_driver_snode.push_back(d);
     const int t = g.net_tree[static_cast<std::size_t>(a.net)];
     if (t < 0) throw std::runtime_error("net-arc net missing tree");
     g.net_arc_tree.push_back(t);
@@ -244,6 +254,47 @@ std::shared_ptr<const GraphCache> build_graph_cache(const Design& design,
     const CellType& type = design.cell_type(c.id);
     g.regq_intrinsic.push_back(type.arcs[0].delay.lookup(0.05, 0.001));
   }
+
+  // ---- arrival propagation stages ---------------------------------------------
+  auto arr = std::make_shared<ArrivalIndex>();
+  arr->num_pins = static_cast<std::size_t>(g.num_pins);
+  const auto close_stage = [&](GraphCache::Stage::Kind kind, int lo, int hi) {
+    g.stages.push_back({kind, lo, hi});
+    arr->stage_arc_off.push_back(static_cast<int>(arr->arc_src.size()));
+    arr->stage_seg_off.push_back(static_cast<int>(arr->seg_dst.size()));
+  };
+  // One segment per arc: the stage writes each arc's own output pin.
+  const auto add_arc = [&arr](int src, int dst) {
+    arr->arc_src.push_back(src);
+    arr->arc_seg.push_back(static_cast<int>(arr->seg_dst.size()));
+    arr->seg_dst.push_back(dst);
+  };
+  if (!g.regq_pins.empty()) {
+    for (int q : g.regq_pins) add_arc(-1, q);
+    close_stage(GraphCache::Stage::kRegQ, 0, static_cast<int>(g.regq_pins.size()));
+  }
+  for (int l = 0; l <= g.num_levels; ++l) {
+    const auto lu = static_cast<std::size_t>(l);
+    if (lu + 1 < g.cell_arc_off.size() && g.cell_arc_off[lu] < g.cell_arc_off[lu + 1]) {
+      const int seg_base = static_cast<int>(arr->seg_dst.size());
+      for (int i = g.cell_arc_off[lu]; i < g.cell_arc_off[lu + 1]; ++i) {
+        arr->arc_src.push_back(g.cell_arcs[static_cast<std::size_t>(i)].in_pin);
+        arr->arc_seg.push_back(seg_base + g.cell_arc_seg[static_cast<std::size_t>(i)]);
+      }
+      for (int o = g.cell_out_off[lu]; o < g.cell_out_off[lu + 1]; ++o) {
+        arr->seg_dst.push_back(g.cell_out_pins[static_cast<std::size_t>(o)]);
+      }
+      close_stage(GraphCache::Stage::kCell, g.cell_arc_off[lu], g.cell_arc_off[lu + 1]);
+    }
+    if (lu + 1 < g.net_arc_off.size() && g.net_arc_off[lu] < g.net_arc_off[lu + 1]) {
+      for (int i = g.net_arc_off[lu]; i < g.net_arc_off[lu + 1]; ++i) {
+        const GraphCache::NetArc& a = g.net_arcs[static_cast<std::size_t>(i)];
+        add_arc(a.driver_pin, a.sink_pin);
+      }
+      close_stage(GraphCache::Stage::kNet, g.net_arc_off[lu], g.net_arc_off[lu + 1]);
+    }
+  }
+  g.arrival = std::move(arr);
 
   return cache;
 }

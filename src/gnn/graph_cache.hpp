@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "autodiff/tape.hpp"
 #include "netlist/netlist.hpp"
 #include "steiner/steiner_tree.hpp"
 
@@ -33,10 +34,10 @@ struct GraphCache {
   std::vector<int> tree_driver_snode;
 
   // ---- directed tree edges (parent -> child from each driver) -------------
-  std::vector<int> edge_pa, edge_ch;  ///< sorted by depth level
-  std::vector<int> edge_tree;         ///< owning tree per edge
-  /// level_off[l] .. level_off[l+1] indexes the edges at depth l.
-  std::vector<int> level_off;
+  /// pa/ch per edge, sorted by depth: level_off[l] .. level_off[l+1]
+  /// indexes the edges at depth l. Also the Tape::tree_scan/reduce index.
+  std::shared_ptr<const TreeIndex> edges;
+  std::vector<int> edge_tree;  ///< owning tree per edge
 
   // ---- reduce edges: one per net sink (sink snode -> driver snode) --------
   std::vector<int> sink_snode, sink_driver_snode, sink_tree;
@@ -54,8 +55,9 @@ struct GraphCache {
   /// net_arc_off[l] .. net_arc_off[l+1].
   std::vector<NetArc> net_arcs;
   std::vector<int> net_arc_off;
-  /// Derived, aligned with net_arcs: sink pin's snode and the net's tree.
-  std::vector<int> net_arc_sink_snode, net_arc_tree;
+  /// Derived, aligned with net_arcs: sink and driver pins' snodes and the
+  /// net's tree.
+  std::vector<int> net_arc_sink_snode, net_arc_driver_snode, net_arc_tree;
 
   struct CellArc {
     int in_pin = -1;
@@ -88,6 +90,19 @@ struct GraphCache {
   std::vector<int> regq_tree;  ///< tree of that net (aligned)
   std::vector<double> regq_cap, regq_res;  ///< load constants (aligned)
   std::vector<double> regq_intrinsic;      ///< zero-load CK->Q delay (ns)
+
+  // ---- arrival propagation stages ---------------------------------------------
+  /// One delay column each, in propagation order: register CK->Q (when
+  /// any), then for each level its cell arcs and its net arcs (each when
+  /// non-empty). A stage's arcs are regq_pins, cell_arcs or net_arcs
+  /// [lo, hi).
+  struct Stage {
+    enum Kind { kRegQ, kCell, kNet } kind = kRegQ;
+    int lo = 0, hi = 0;
+  };
+  std::vector<Stage> stages;
+  /// The same stages as the Tape::arrival_propagate index.
+  std::shared_ptr<const ArrivalIndex> arrival;
 
   // ---- per-net constants ----------------------------------------------------
   int num_trees = 0;

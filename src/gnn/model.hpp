@@ -47,6 +47,19 @@ class TimingGnn {
  public:
   TimingGnn(const GnnConfig& config, int num_cell_types);
 
+  /// Index of each parameter tensor in parameters() and Bound::handles.
+  enum ParamId : std::size_t {
+    kWIn, kBIn,                    // snode feature embedding
+    kWB, kBB, kWU1, kWU2, kBU,     // broadcast message + update
+    kWR, kBR, kWU3, kWU4, kBU2,    // reduce message + update
+    kTypeEmb,                      // cell-type embeddings
+    kWC1, kBC1, kWC2, kBC2,        // cell-delay head (multiplicative corr.)
+    kWN1, kBN1, kWN2, kBN2,        // net-delay head (multiplicative corr.)
+    kWN3, kBN3,                    // net-delay additive head (quantization)
+    kWS1, kBS1, kWS2, kBS2,        // startpoint (CK->Q) head
+    kNumParams
+  };
+
   /// Bind every parameter tensor as a tape leaf (requires_grad).
   struct Bound {
     std::vector<Value> handles;
@@ -59,10 +72,11 @@ class TimingGnn {
   /// normalized by the clock period.
   ///
   /// The tape may belong to a TapeProgram: bind() bakes the parameter values
-  /// at record time, and everything forward() records — including the
-  /// per-level index assembly done here on the host — replays without being
+  /// at record time, and everything forward() records replays without being
   /// re-executed, so a retained program (tsteiner::GradientEvaluator) pays
-  /// this construction cost exactly once per (design, forest-topology).
+  /// the construction cost exactly once per (design, forest-topology).
+  /// Tree and netlist propagation are single fused ops over the cache's
+  /// tree_index / arrival_index, so the tape grows linearly with the design.
   Value forward(Tape& tape, const GraphCache& g, const Bound& bound, Value xs,
                 Value ys) const;
 
@@ -77,18 +91,6 @@ class TimingGnn {
   const GnnConfig& config() const { return cfg_; }
 
  private:
-  enum ParamId : std::size_t {
-    kWIn, kBIn,                    // snode feature embedding
-    kWB, kBB, kWU1, kWU2, kBU,     // broadcast message + update
-    kWR, kBR, kWU3, kWU4, kBU2,    // reduce message + update
-    kTypeEmb,                      // cell-type embeddings
-    kWC1, kBC1, kWC2, kBC2,        // cell-delay head (multiplicative corr.)
-    kWN1, kBN1, kWN2, kBN2,        // net-delay head (multiplicative corr.)
-    kWN3, kBN3,                    // net-delay additive head (quantization)
-    kWS1, kBS1, kWS2, kBS2,        // startpoint (CK->Q) head
-    kNumParams
-  };
-
   GnnConfig cfg_;
   std::vector<Tensor> params_;
 };

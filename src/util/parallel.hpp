@@ -1,5 +1,5 @@
 // Process-wide deterministic thread pool shared by every parallel hot path
-// (tape kernels, GNN level assembly, STA, routing, RSMT construction).
+// (tape kernels, STA, routing, RSMT construction).
 //
 // Determinism contract: work is split into chunks whose boundaries depend
 // only on (begin, end, grain) — never on the thread count — and

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
 
 #include "autodiff/tape.hpp"
 
@@ -180,6 +182,110 @@ TEST(Tape, SegmentMaxEmptySegmentGetsFill) {
   EXPECT_DOUBLE_EQ(tape.value(s).at(0, 0), 5.0);
   EXPECT_DOUBLE_EQ(tape.value(s).at(1, 0), -7.0);
   EXPECT_DOUBLE_EQ(tape.value(s).at(2, 0), -7.0);
+}
+
+// Fused propagation ops. A small two-level tree (node 0 the root) and a
+// three-stage DAG: a source stage, a cell stage whose segment max-reduces two
+// arcs, and a net stage fanning out.
+std::shared_ptr<const TreeIndex> small_tree() {
+  auto t = std::make_shared<TreeIndex>();
+  t->num_nodes = 6;
+  t->pa = {0, 0, 1, 1, 2};
+  t->ch = {1, 2, 3, 4, 5};
+  t->level_off = {0, 2, 5};
+  return t;
+}
+
+std::shared_ptr<const ArrivalIndex> small_dag() {
+  auto a = std::make_shared<ArrivalIndex>();
+  a->num_pins = 8;  // pin 7 is never written
+  a->stage_arc_off = {0, 2, 5, 8};
+  a->stage_seg_off = {0, 2, 4, 7};
+  a->arc_src = {-1, -1, 0, 1, 1, 2, 2, 3};
+  a->arc_seg = {0, 1, 2, 2, 3, 4, 5, 6};
+  a->seg_dst = {0, 1, 2, 3, 4, 5, 6};
+  return a;
+}
+
+/// The per-stage delay columns of small_dag() as row slices of one leaf.
+Value small_dag_arrival(Tape& t, Value x) {
+  return t.arrival_propagate({t.gather_rows(x, {0, 1}), t.gather_rows(x, {2, 3, 4}),
+                              t.gather_rows(x, {5, 6, 7})},
+                             small_dag());
+}
+
+TEST(TapeGrad, TreeScan) {
+  Rng rng(21);
+  check_gradient(
+      [](Tape& t, Value x) {
+        const Value out = t.tree_scan(x, small_tree());
+        return t.sum_all(t.mul(out, out));
+      },
+      Tensor::randn(rng, 5, 1, 1.0));
+}
+
+TEST(TapeGrad, TreeReduce) {
+  Rng rng(22);
+  check_gradient(
+      [](Tape& t, Value x) {
+        const Value out = t.tree_reduce(x, small_tree());
+        return t.sum_all(t.mul(out, out));
+      },
+      Tensor::randn(rng, 6, 1, 1.0));
+}
+
+TEST(TapeGrad, ArrivalPropagate) {
+  Rng rng(23);
+  check_gradient(
+      [](Tape& t, Value x) {
+        const Value out = small_dag_arrival(t, x);
+        return t.sum_all(t.mul(out, out));
+      },
+      Tensor::randn(rng, 8, 1, 1.0));
+}
+
+TEST(Tape, FusedOpsForwardValues) {
+  Tape t;
+  const Value w = t.leaf(Tensor::column({1.0, 2.0, 3.0, 4.0, 5.0}));
+  const Tensor& scan = t.value(t.tree_scan(w, small_tree()));
+  EXPECT_EQ(scan.data(), (std::vector<double>{0.0, 1.0, 2.0, 4.0, 5.0, 7.0}));
+
+  const Value x = t.leaf(Tensor::column({1.0, 2.0, 3.0, 4.0, 5.0, 6.0}));
+  const Tensor& sub = t.value(t.tree_reduce(x, small_tree()));
+  EXPECT_EQ(sub.data(), (std::vector<double>{21.0, 11.0, 9.0, 4.0, 5.0, 6.0}));
+
+  const Value d = t.leaf(Tensor::column({1.0, 2.0, 0.5, 0.25, 3.0, 1.0, 2.0, 0.5}));
+  const Tensor& arr = t.value(small_dag_arrival(t, d));
+  // pin 2 = max(1 + 0.5, 2 + 0.25); pin 3 = 2 + 3; sinks add their net delay.
+  EXPECT_EQ(arr.data(), (std::vector<double>{1.0, 2.0, 2.25, 5.0, 3.25, 4.25, 5.5, 0.0}));
+}
+
+TEST(Tape, FusedOpsRejectBrokenIndices) {
+  Tape t;
+  const Value w = t.leaf(Tensor::column({1.0, 2.0}));
+  auto tree = std::make_shared<TreeIndex>();
+  tree->num_nodes = 3;
+  tree->pa = {0, 1};
+  tree->ch = {1, 2};
+  tree->level_off = {0, 2};  // node 1 is written and read at the same level
+  EXPECT_THROW(t.tree_scan(w, tree), std::runtime_error);
+  tree->ch = {1, 1};
+  tree->level_off = {0, 1, 2};  // node 1 is the child of two edges
+  EXPECT_THROW(t.tree_scan(w, tree), std::runtime_error);
+  tree->ch = {1, 2};
+  tree->level_off = {0, 3, 2};  // level 0 runs past the last edge
+  EXPECT_THROW(t.tree_scan(w, tree), std::runtime_error);
+
+  auto dag = std::make_shared<ArrivalIndex>(*small_dag());
+  const Value d2 = t.leaf(Tensor::column({1.0, 2.0}));
+  const Value d3 = t.leaf(Tensor::column({1.0, 2.0, 3.0}));
+  EXPECT_THROW(t.arrival_propagate({d2, d3}, dag), std::runtime_error);  // stage count
+  EXPECT_THROW(t.arrival_propagate({d2, d2, d3}, dag), std::runtime_error);  // arc count
+  dag->seg_dst[6] = 4;  // pin 4 written twice
+  EXPECT_THROW(t.arrival_propagate({d2, d3, d3}, dag), std::runtime_error);
+  dag->seg_dst[6] = 3;  // the net stage reads pin 3, which it now writes
+  dag->seg_dst[3] = 6;
+  EXPECT_THROW(t.arrival_propagate({d2, d3, d3}, dag), std::runtime_error);
 }
 
 TEST(TapeGrad, LogSumExp) {

@@ -69,11 +69,11 @@ TEST(GraphCache, TreeEdgesSortedByDepth) {
   for (std::size_t s = 0; s < reached.size(); ++s) {
     if (t.cache->feat_is_driver[s] > 0.5) reached[s] = 1;
   }
-  for (std::size_t l = 0; l + 1 < t.cache->level_off.size(); ++l) {
-    for (int e = t.cache->level_off[l]; e < t.cache->level_off[l + 1]; ++e) {
-      EXPECT_TRUE(reached[static_cast<std::size_t>(t.cache->edge_pa[static_cast<std::size_t>(e)])])
+  for (std::size_t l = 0; l + 1 < t.cache->edges->level_off.size(); ++l) {
+    for (int e = t.cache->edges->level_off[l]; e < t.cache->edges->level_off[l + 1]; ++e) {
+      EXPECT_TRUE(reached[static_cast<std::size_t>(t.cache->edges->pa[static_cast<std::size_t>(e)])])
           << "edge parent not yet reached at level " << l;
-      reached[static_cast<std::size_t>(t.cache->edge_ch[static_cast<std::size_t>(e)])] = 1;
+      reached[static_cast<std::size_t>(t.cache->edges->ch[static_cast<std::size_t>(e)])] = 1;
     }
   }
   for (char r : reached) EXPECT_TRUE(r);

@@ -228,6 +228,37 @@ TEST(Replay, SteadyStateReplayDoesNotAllocate) {
   }
 }
 
+TEST(Replay, TapeMemoryStaysLinearInDesignSize) {
+  // Fused tree and arrival propagation write each level's frontier only, so
+  // a tape node holds about one level's worth of rows: value doubles per
+  // node stay roughly flat as the design grows. (A per-level full-width
+  // gather/scatter/add composition grew them from ~186 at 200 cells to
+  // ~4,870 at 4k.) The steady-state replay stays allocation-free at both
+  // sizes.
+  const TimingGnn model = make_model();
+  std::vector<double> doubles_per_node;
+  for (const int cells : {200, 4000}) {
+    const Fixture f = make_fixture(97, cells);
+    PenaltyWeights w;
+    auto xs = f.forest.gather_x();
+    auto ys = f.forest.gather_y();
+    GradientEvaluator evaluator(model, *f.cache, f.design, xs, ys, w);
+    (void)evaluator.gradients(xs, ys, w);
+    const std::uint64_t warm = evaluator.program().allocation_count();
+    perturb(xs, ys, 1);
+    (void)evaluator.gradients(xs, ys, w);
+    (void)evaluator.evaluate(xs, ys, w);
+    EXPECT_EQ(evaluator.program().allocation_count(), warm) << cells << " cells";
+    const Tape::Stats st = evaluator.program().stats();
+    doubles_per_node.push_back(static_cast<double>(st.value_doubles) /
+                               static_cast<double>(st.num_nodes));
+  }
+  // Measured ~90 -> ~158: the Steiner-graph stage keeps a fixed number of
+  // snode-wide nodes. A quadratic tape would be ~25x.
+  EXPECT_LT(doubles_per_node[1], 3.0 * doubles_per_node[0])
+      << doubles_per_node[0] << " -> " << doubles_per_node[1] << " value doubles per node";
+}
+
 TEST(Replay, FinalizedProgramRejectsRecordingAndForeignLeaves) {
   TapeProgram program;
   Tape& tape = program.tape();
