@@ -62,6 +62,77 @@ PointI take_point_i(ByteReader& r) {
 
 }  // namespace
 
+std::vector<std::uint8_t> encode_meta(const SnapshotMeta& meta) {
+  ByteWriter w;
+  w.str(meta.kind);
+  w.str(meta.tag);
+  w.u32(meta.design_count);
+  w.u8(meta.has_model ? 1 : 0);
+  w.f64(meta.final_train_loss);
+  w.u32(meta.library_fingerprint);
+  return w.take();
+}
+
+std::optional<SnapshotMeta> decode_meta(const std::uint8_t* data, std::size_t size) {
+  ByteReader r(data, size);
+  SnapshotMeta meta;
+  meta.kind = r.str();
+  meta.tag = r.str();
+  meta.design_count = r.u32();
+  meta.has_model = r.u8() != 0;
+  meta.final_train_loss = r.f64();
+  meta.library_fingerprint = r.u32();
+  if (!r.done()) return std::nullopt;
+  return meta;
+}
+
+std::optional<SnapshotMeta> read_meta(const DbReader& reader) {
+  const ChunkInfo* chunk = reader.find(kChunkMeta);
+  if (chunk == nullptr) return std::nullopt;
+  return decode_meta(reader.payload(*chunk), static_cast<std::size_t>(chunk->size));
+}
+
+std::vector<std::uint8_t> index_prefixed(std::uint32_t index,
+                                         const std::vector<std::uint8_t>& payload) {
+  ByteWriter w;
+  w.u32(index);
+  w.raw(payload);
+  return w.take();
+}
+
+std::optional<std::vector<ByteSpan>> collect_indexed(const DbReader& reader, std::uint32_t type,
+                                                     std::uint32_t count) {
+  std::vector<ByteSpan> out(count);
+  for (const ChunkInfo* chunk : reader.find_all(type)) {
+    if (chunk->size < 4) return std::nullopt;
+    const std::uint32_t index = ByteReader(reader.payload(*chunk), 4).u32();
+    if (index >= count || out[index].data != nullptr) return std::nullopt;
+    out[index] = {reader.payload(*chunk) + 4, static_cast<std::size_t>(chunk->size) - 4};
+  }
+  for (const ByteSpan& span : out) {
+    if (span.data == nullptr) return std::nullopt;
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> encode_calibration(const Calibration& cal) {
+  ByteWriter w;
+  w.f64(cal.clock_period_ns);
+  w.f64(cal.fixed_h_cap);
+  w.f64(cal.fixed_v_cap);
+  return w.take();
+}
+
+std::optional<Calibration> decode_calibration(const std::uint8_t* data, std::size_t size) {
+  ByteReader r(data, size);
+  Calibration cal;
+  cal.clock_period_ns = r.f64();
+  cal.fixed_h_cap = r.f64();
+  cal.fixed_v_cap = r.f64();
+  if (!r.done()) return std::nullopt;
+  return cal;
+}
+
 std::vector<std::uint8_t> encode_library(const CellLibrary& lib) {
   ByteWriter w;
   w.f64(lib.wire_res_kohm_per_dbu());

@@ -12,6 +12,7 @@
 
 #include <memory>
 
+#include "db/codecs.hpp"
 #include "droute/detailed_route.hpp"
 #include "gnn/steiner_predictor.hpp"
 #include "netlist/netlist.hpp"
@@ -53,11 +54,8 @@ struct FlowResult {
 /// The per-design state a Flow derives once and pins: restoring it from a
 /// snapshot lets run_signoff() reproduce cold-run results bit-exactly while
 /// skipping forest construction, the clock-setting STA and the probe route.
-struct FlowCalibration {
-  double clock_period_ns = 0.0;
-  double fixed_h_cap = 0.0;
-  double fixed_v_cap = 0.0;
-};
+/// It is the snapshot's FCAL record, so its codec lives in db/codecs.
+using FlowCalibration = db::Calibration;
 
 class Flow {
  public:

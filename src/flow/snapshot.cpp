@@ -4,7 +4,6 @@
 
 #include "db/bytes.hpp"
 #include "db/codecs.hpp"
-#include "db/container.hpp"
 #include "db/crc32.hpp"
 #include "gnn/serialize.hpp"
 #include "obs/trace.hpp"
@@ -15,7 +14,6 @@ namespace tsteiner {
 namespace {
 
 constexpr char kSuiteKind[] = "suite";
-constexpr char kDesignKind[] = "design";
 
 void encode_flow_options(db::ByteWriter& w, const FlowOptions& f) {
   w.i64(f.router.gcell_size);
@@ -38,35 +36,8 @@ void encode_flow_options(db::ByteWriter& w, const FlowOptions& f) {
   w.f64(f.clock_tightness);
 }
 
-std::vector<std::uint8_t> index_prefixed(std::uint32_t index,
-                                         const std::vector<std::uint8_t>& payload) {
+std::vector<std::uint8_t> encode_sample(const TrainingSample& s) {
   db::ByteWriter w;
-  w.u32(index);
-  w.raw(payload);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_calibration(std::uint32_t index, const FlowCalibration& cal) {
-  db::ByteWriter w;
-  w.u32(index);
-  w.f64(cal.clock_period_ns);
-  w.f64(cal.fixed_h_cap);
-  w.f64(cal.fixed_v_cap);
-  return w.take();
-}
-
-std::optional<FlowCalibration> decode_calibration(db::ByteReader& r) {
-  FlowCalibration cal;
-  cal.clock_period_ns = r.f64();
-  cal.fixed_h_cap = r.f64();
-  cal.fixed_v_cap = r.f64();
-  if (!r.done()) return std::nullopt;
-  return cal;
-}
-
-std::vector<std::uint8_t> encode_sample(std::uint32_t index, const TrainingSample& s) {
-  db::ByteWriter w;
-  w.u32(index);
   w.str(s.design_name);
   w.f64_vec(s.xs);
   w.f64_vec(s.ys);
@@ -75,7 +46,8 @@ std::vector<std::uint8_t> encode_sample(std::uint32_t index, const TrainingSampl
   return w.take();
 }
 
-std::optional<TrainingSample> decode_sample(db::ByteReader& r) {
+std::optional<TrainingSample> decode_sample(db::ByteSpan payload) {
+  db::ByteReader r(payload.data, payload.size);
   TrainingSample s;
   s.design_name = r.str();
   s.xs = r.f64_vec();
@@ -86,58 +58,55 @@ std::optional<TrainingSample> decode_sample(db::ByteReader& r) {
   return s;
 }
 
-struct Meta {
-  std::string kind;
-  std::string tag;
-  std::uint32_t design_count = 0;
-  bool has_model = false;
-  double final_train_loss = 0.0;
-  std::uint32_t library_fingerprint = 0;
-};
-
-std::vector<std::uint8_t> encode_meta(const Meta& m) {
-  db::ByteWriter w;
-  w.str(m.kind);
-  w.str(m.tag);
-  w.u32(m.design_count);
-  w.u8(m.has_model ? 1 : 0);
-  w.f64(m.final_train_loss);
-  w.u32(m.library_fingerprint);
-  return w.take();
-}
-
-std::optional<Meta> decode_meta(const std::uint8_t* data, std::size_t size) {
-  db::ByteReader r(data, size);
-  Meta m;
-  m.kind = r.str();
-  m.tag = r.str();
-  m.design_count = r.u32();
-  m.has_model = r.u8() != 0;
-  m.final_train_loss = r.f64();
-  m.library_fingerprint = r.u32();
-  if (!r.done()) return std::nullopt;
-  return m;
-}
-
-/// Per-design chunks keyed by their leading u32 index; returns false when a
-/// chunk family does not cover 0..count-1 exactly once.
-bool collect_indexed(const db::DbReader& reader, std::uint32_t type, std::uint32_t count,
-                     std::vector<std::pair<const std::uint8_t*, std::size_t>>* out) {
-  out->assign(count, {nullptr, 0});
-  for (const db::ChunkInfo* chunk : reader.find_all(type)) {
-    if (chunk->size < 4) return false;
-    db::ByteReader r(reader.payload(*chunk), 4);
-    const std::uint32_t index = r.u32();
-    if (index >= count || (*out)[index].first != nullptr) return false;
-    (*out)[index] = {reader.payload(*chunk) + 4, static_cast<std::size_t>(chunk->size) - 4};
-  }
-  for (const auto& [data, size] : *out) {
-    if (data == nullptr) return false;
-  }
-  return true;
-}
-
 }  // namespace
+
+bool write_design_record(db::DbWriter& writer, std::uint32_t index, const BenchmarkSpec& spec,
+                         const Design& design, const FlowCalibration& cal,
+                         const SteinerForest& forest) {
+  return writer.add_chunk(db::kChunkDesign,
+                          db::index_prefixed(index, db::encode_design(spec, design))) &&
+         writer.add_chunk(db::kChunkFlowCal,
+                          db::index_prefixed(index, db::encode_calibration(cal))) &&
+         writer.add_chunk(db::kChunkForest,
+                          db::index_prefixed(index, db::encode_forest(forest)));
+}
+
+std::optional<std::vector<PreparedDesign>> read_design_records(const db::DbReader& reader,
+                                                               std::uint32_t count,
+                                                               const CellLibrary& lib,
+                                                               const FlowOptions& options,
+                                                               std::string* error) {
+  auto fail = [error](const char* message) {
+    if (error != nullptr) *error = message;
+    return std::nullopt;
+  };
+  const auto designs = db::collect_indexed(reader, db::kChunkDesign, count);
+  if (!designs) return fail("has no design chunk");
+  const auto cals = db::collect_indexed(reader, db::kChunkFlowCal, count);
+  if (!cals) return fail("has no calibration chunk");
+  const auto forests = db::collect_indexed(reader, db::kChunkForest, count);
+  if (!forests) return fail("has no forest chunk");
+
+  std::vector<PreparedDesign> out;
+  out.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    auto decoded = db::decode_design((*designs)[i].data, (*designs)[i].size, lib);
+    if (!decoded) return fail("design chunk is malformed");
+    const auto cal = db::decode_calibration((*cals)[i].data, (*cals)[i].size);
+    if (!cal) return fail("calibration chunk is malformed");
+    auto forest = db::decode_forest((*forests)[i].data, (*forests)[i].size);
+    if (!forest || forest->net_to_tree.size() != decoded->design.nets().size()) {
+      return fail("forest chunk is malformed");
+    }
+    PreparedDesign pd;
+    pd.spec = std::move(decoded->spec);
+    pd.design = std::make_unique<Design>(std::move(decoded->design));
+    pd.flow = std::make_unique<Flow>(
+        Flow::from_snapshot(pd.design.get(), options, *cal, std::move(*forest)));
+    out.push_back(std::move(pd));
+  }
+  return out;
+}
 
 std::string suite_options_tag(const SuiteOptions& options) {
   // CRC over the binary encoding of every influencing option; the scale and
@@ -174,27 +143,24 @@ bool save_suite_snapshot(const TrainedSuite& suite, const SuiteOptions& options,
   db::DbWriter writer;
   if (!writer.open(path)) return false;
 
-  Meta meta;
+  db::SnapshotMeta meta;
   meta.kind = kSuiteKind;
   meta.tag = suite_options_tag(options);
   meta.design_count = static_cast<std::uint32_t>(suite.designs.size());
   meta.has_model = suite.model != nullptr;
   meta.final_train_loss = suite.final_train_loss;
   meta.library_fingerprint = db::library_fingerprint(*suite.lib);
-  bool ok = writer.add_chunk(db::kChunkMeta, encode_meta(meta));
+  bool ok = writer.add_chunk(db::kChunkMeta, db::encode_meta(meta));
   ok = ok && writer.add_chunk(db::kChunkLibrary, db::encode_library(*suite.lib));
 
   for (std::size_t i = 0; ok && i < suite.designs.size(); ++i) {
     const PreparedDesign& pd = suite.designs[i];
     const std::uint32_t index = static_cast<std::uint32_t>(i);
-    ok = writer.add_chunk(db::kChunkDesign,
-                          index_prefixed(index, db::encode_design(pd.spec, *pd.design))) &&
-         writer.add_chunk(db::kChunkFlowCal,
-                          encode_calibration(index, pd.flow->calibration())) &&
-         writer.add_chunk(db::kChunkForest,
-                          index_prefixed(index, db::encode_forest(pd.flow->initial_forest())));
+    ok = write_design_record(writer, index, pd.spec, *pd.design, pd.flow->calibration(),
+                             pd.flow->initial_forest());
     if (ok && i < suite.base_samples.size()) {
-      ok = writer.add_chunk(db::kChunkSample, encode_sample(index, suite.base_samples[i]));
+      ok = writer.add_chunk(db::kChunkSample,
+                            db::index_prefixed(index, encode_sample(suite.base_samples[i])));
     }
   }
   if (ok && suite.model != nullptr) {
@@ -212,10 +178,7 @@ std::optional<TrainedSuite> load_suite_snapshot(const std::string& path,
     TS_VERBOSE("suite snapshot rejected: %s", error.c_str());
     return std::nullopt;
   }
-  const db::ChunkInfo* meta_chunk = reader.find(db::kChunkMeta);
-  if (meta_chunk == nullptr) return std::nullopt;
-  const auto meta =
-      decode_meta(reader.payload(*meta_chunk), static_cast<std::size_t>(meta_chunk->size));
+  const auto meta = db::read_meta(reader);
   if (!meta || meta->kind != kSuiteKind) return std::nullopt;
   if (meta->tag != suite_options_tag(options)) {
     TS_VERBOSE("suite snapshot rejected: options tag mismatch (stored \"%s\")",
@@ -233,37 +196,16 @@ std::optional<TrainedSuite> load_suite_snapshot(const std::string& path,
   suite.lib = std::make_unique<CellLibrary>(std::move(*lib));
   suite.final_train_loss = meta->final_train_loss;
 
-  std::vector<std::pair<const std::uint8_t*, std::size_t>> designs, cals, forests, samples;
-  if (!collect_indexed(reader, db::kChunkDesign, meta->design_count, &designs) ||
-      !collect_indexed(reader, db::kChunkFlowCal, meta->design_count, &cals) ||
-      !collect_indexed(reader, db::kChunkForest, meta->design_count, &forests) ||
-      !collect_indexed(reader, db::kChunkSample, meta->design_count, &samples)) {
-    return std::nullopt;
-  }
+  auto designs = read_design_records(reader, meta->design_count, *suite.lib, options.flow);
+  const auto samples = db::collect_indexed(reader, db::kChunkSample, meta->design_count);
+  if (!designs || !samples) return std::nullopt;
+  suite.designs = std::move(*designs);
 
   for (std::uint32_t i = 0; i < meta->design_count; ++i) {
-    auto decoded = db::decode_design(designs[i].first, designs[i].second, *suite.lib);
-    if (!decoded) return std::nullopt;
-    db::ByteReader cal_reader(cals[i].first, cals[i].second);
-    const auto cal = decode_calibration(cal_reader);
-    auto forest = db::decode_forest(forests[i].first, forests[i].second);
-    if (!cal || !forest) return std::nullopt;
-    if (forest->net_to_tree.size() != decoded->design.nets().size()) return std::nullopt;
-
-    PreparedDesign pd;
-    pd.spec = std::move(decoded->spec);
-    pd.design = std::make_unique<Design>(std::move(decoded->design));
-    pd.flow = std::make_unique<Flow>(
-        Flow::from_snapshot(pd.design.get(), options.flow, *cal, std::move(*forest)));
+    PreparedDesign& pd = suite.designs[i];
     pd.cache = build_graph_cache(*pd.design, pd.flow->initial_forest());
-    suite.designs.push_back(std::move(pd));
-  }
-
-  for (std::uint32_t i = 0; i < meta->design_count; ++i) {
-    db::ByteReader sample_reader(samples[i].first, samples[i].second);
-    auto sample = decode_sample(sample_reader);
+    auto sample = decode_sample((*samples)[i]);
     if (!sample) return std::nullopt;
-    const PreparedDesign& pd = suite.designs[i];
     if (sample->design_name != pd.spec.name ||
         sample->arrival_label.size() != pd.design->pins().size() ||
         sample->xs.size() != pd.flow->initial_forest().num_movable()) {
@@ -283,68 +225,6 @@ std::optional<TrainedSuite> load_suite_snapshot(const std::string& path,
     suite.model = std::make_unique<TimingGnn>(std::move(*model));
   }
   return suite;
-}
-
-bool save_design_snapshot(const PreparedDesign& pd, const CellLibrary& lib,
-                          const std::string& path) {
-  TS_TRACE_SPAN_CAT("db.save_design_snapshot", "db");
-  db::DbWriter writer;
-  if (!writer.open(path)) return false;
-  Meta meta;
-  meta.kind = kDesignKind;
-  meta.design_count = 1;
-  meta.library_fingerprint = db::library_fingerprint(lib);
-  const bool ok =
-      writer.add_chunk(db::kChunkMeta, encode_meta(meta)) &&
-      writer.add_chunk(db::kChunkDesign,
-                       index_prefixed(0, db::encode_design(pd.spec, *pd.design))) &&
-      writer.add_chunk(db::kChunkFlowCal, encode_calibration(0, pd.flow->calibration())) &&
-      writer.add_chunk(db::kChunkForest,
-                       index_prefixed(0, db::encode_forest(pd.flow->initial_forest())));
-  return writer.finish() && ok;
-}
-
-std::optional<PreparedDesign> load_design_snapshot(const std::string& path,
-                                                   const CellLibrary& lib,
-                                                   const FlowOptions& options) {
-  TS_TRACE_SPAN_CAT("db.load_design_snapshot", "db");
-  db::DbReader reader;
-  std::string error;
-  if (!reader.open(path, &error)) {
-    TS_VERBOSE("design snapshot rejected: %s", error.c_str());
-    return std::nullopt;
-  }
-  const db::ChunkInfo* meta_chunk = reader.find(db::kChunkMeta);
-  if (meta_chunk == nullptr) return std::nullopt;
-  const auto meta =
-      decode_meta(reader.payload(*meta_chunk), static_cast<std::size_t>(meta_chunk->size));
-  if (!meta || meta->kind != kDesignKind || meta->design_count != 1) return std::nullopt;
-  if (meta->library_fingerprint != db::library_fingerprint(lib)) {
-    TS_VERBOSE("design snapshot rejected: library fingerprint mismatch");
-    return std::nullopt;
-  }
-
-  std::vector<std::pair<const std::uint8_t*, std::size_t>> designs, cals, forests;
-  if (!collect_indexed(reader, db::kChunkDesign, 1, &designs) ||
-      !collect_indexed(reader, db::kChunkFlowCal, 1, &cals) ||
-      !collect_indexed(reader, db::kChunkForest, 1, &forests)) {
-    return std::nullopt;
-  }
-  auto decoded = db::decode_design(designs[0].first, designs[0].second, lib);
-  if (!decoded) return std::nullopt;
-  db::ByteReader cal_reader(cals[0].first, cals[0].second);
-  const auto cal = decode_calibration(cal_reader);
-  auto forest = db::decode_forest(forests[0].first, forests[0].second);
-  if (!cal || !forest) return std::nullopt;
-  if (forest->net_to_tree.size() != decoded->design.nets().size()) return std::nullopt;
-
-  PreparedDesign pd;
-  pd.spec = std::move(decoded->spec);
-  pd.design = std::make_unique<Design>(std::move(decoded->design));
-  pd.flow = std::make_unique<Flow>(
-      Flow::from_snapshot(pd.design.get(), options, *cal, std::move(*forest)));
-  pd.cache = build_graph_cache(*pd.design, pd.flow->initial_forest());
-  return pd;
 }
 
 }  // namespace tsteiner

@@ -117,7 +117,6 @@ std::shared_ptr<const GraphCache> build_graph_cache(const Design& design,
       if (node_idx < 0) throw std::runtime_error("sink not found in tree");
       g.sink_snode.push_back(snode_of(static_cast<int>(t), node_idx));
       g.sink_driver_snode.push_back(snode_of(static_cast<int>(t), tree.driver_node));
-      g.sink_tree.push_back(static_cast<int>(t));
     }
   }
   std::stable_sort(dedges.begin(), dedges.end(),
@@ -141,15 +140,15 @@ std::shared_ptr<const GraphCache> build_graph_cache(const Design& design,
   g.edges = std::move(edges);
 
   // ---- per-net constants -----------------------------------------------------
-  g.net_tree = forest.net_to_tree;
-  g.net_sink_cap.assign(design.nets().size(), 0.0);
-  g.net_drive_res.assign(design.nets().size(), 1.0);
+  const std::vector<int>& net_tree = forest.net_to_tree;
+  std::vector<double> net_sink_cap(design.nets().size(), 0.0);   // sum of sink pin caps (pF)
+  std::vector<double> net_drive_res(design.nets().size(), 1.0);  // driver's drive res
   for (const Net& n : design.nets()) {
     double cap = 0.0;
     for (int s : n.sink_pins) cap += design.pin_cap(s);
-    g.net_sink_cap[static_cast<std::size_t>(n.id)] = cap;
+    net_sink_cap[static_cast<std::size_t>(n.id)] = cap;
     const Pin& drv = design.pin(n.driver_pin);
-    g.net_drive_res[static_cast<std::size_t>(n.id)] =
+    net_drive_res[static_cast<std::size_t>(n.id)] =
         drv.cell >= 0 ? design.cell_type(drv.cell).drive_res_kohm : 0.5;
   }
 
@@ -203,7 +202,7 @@ std::shared_ptr<const GraphCache> build_graph_cache(const Design& design,
     const int d = g.pin_snode[static_cast<std::size_t>(a.driver_pin)];
     if (d < 0) throw std::runtime_error("driver pin missing snode");
     g.net_arc_driver_snode.push_back(d);
-    const int t = g.net_tree[static_cast<std::size_t>(a.net)];
+    const int t = net_tree[static_cast<std::size_t>(a.net)];
     if (t < 0) throw std::runtime_error("net-arc net missing tree");
     g.net_arc_tree.push_back(t);
   }
@@ -213,10 +212,10 @@ std::shared_ptr<const GraphCache> build_graph_cache(const Design& design,
   for (const GraphCache::CellArc& a : g.cell_arcs) {
     // Every combinational output drives a net in generated designs; nets
     // always have a tree because dangling outputs get tied to POs.
-    const int t = a.out_net >= 0 ? g.net_tree[static_cast<std::size_t>(a.out_net)] : -1;
+    const int t = a.out_net >= 0 ? net_tree[static_cast<std::size_t>(a.out_net)] : -1;
     g.cell_arc_tree.push_back(std::max(t, 0));  // tree 0 as harmless fallback
     g.cell_arc_cap.push_back(
-        a.out_net >= 0 ? g.net_sink_cap[static_cast<std::size_t>(a.out_net)] : 0.0);
+        a.out_net >= 0 ? net_sink_cap[static_cast<std::size_t>(a.out_net)] : 0.0);
     const CellType& type = design.library().type(a.type);
     g.cell_arc_res.push_back(type.drive_res_kohm);
     const int slot = design.pin(a.in_pin).input_slot;
@@ -247,10 +246,9 @@ std::shared_ptr<const GraphCache> build_graph_cache(const Design& design,
     const int net = design.pin(c.output_pin).net;
     if (net < 0) continue;
     g.regq_pins.push_back(c.output_pin);
-    g.regq_nets.push_back(net);
-    g.regq_tree.push_back(std::max(0, g.net_tree[static_cast<std::size_t>(net)]));
-    g.regq_cap.push_back(g.net_sink_cap[static_cast<std::size_t>(net)]);
-    g.regq_res.push_back(g.net_drive_res[static_cast<std::size_t>(net)]);
+    g.regq_tree.push_back(std::max(0, net_tree[static_cast<std::size_t>(net)]));
+    g.regq_cap.push_back(net_sink_cap[static_cast<std::size_t>(net)]);
+    g.regq_res.push_back(net_drive_res[static_cast<std::size_t>(net)]);
     const CellType& type = design.cell_type(c.id);
     g.regq_intrinsic.push_back(type.arcs[0].delay.lookup(0.05, 0.001));
   }

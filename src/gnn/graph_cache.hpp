@@ -32,6 +32,7 @@ struct GraphCache {
   std::vector<double> snode_pin_cap;
   /// Driver snode of each tree (for total-load extraction).
   std::vector<int> tree_driver_snode;
+  int num_trees = 0;
 
   // ---- directed tree edges (parent -> child from each driver) -------------
   /// pa/ch per edge, sorted by depth: level_off[l] .. level_off[l+1]
@@ -40,7 +41,7 @@ struct GraphCache {
   std::vector<int> edge_tree;  ///< owning tree per edge
 
   // ---- reduce edges: one per net sink (sink snode -> driver snode) --------
-  std::vector<int> sink_snode, sink_driver_snode, sink_tree;
+  std::vector<int> sink_snode, sink_driver_snode;
 
   // ---- netlist graph -------------------------------------------------------
   int num_pins = 0;
@@ -86,8 +87,7 @@ struct GraphCache {
 
   // ---- startpoints ---------------------------------------------------------
   std::vector<int> regq_pins;  ///< register Q output pins
-  std::vector<int> regq_nets;  ///< net driven by each (aligned)
-  std::vector<int> regq_tree;  ///< tree of that net (aligned)
+  std::vector<int> regq_tree;  ///< tree of the net each drives (aligned)
   std::vector<double> regq_cap, regq_res;  ///< load constants (aligned)
   std::vector<double> regq_intrinsic;      ///< zero-load CK->Q delay (ns)
 
@@ -103,12 +103,6 @@ struct GraphCache {
   std::vector<Stage> stages;
   /// The same stages as the Tape::arrival_propagate index.
   std::shared_ptr<const ArrivalIndex> arrival;
-
-  // ---- per-net constants ----------------------------------------------------
-  int num_trees = 0;
-  std::vector<int> net_tree;          ///< net id -> tree index (-1 if none)
-  std::vector<double> net_sink_cap;   ///< sum of sink pin caps (pF)
-  std::vector<double> net_drive_res;  ///< driver cell's drive resistance
 
   // ---- normalization / technology -------------------------------------------
   double die_w = 1.0, die_h = 1.0;

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "db/bytes.hpp"
 #include "db/codecs.hpp"
 #include "db/container.hpp"
 #include "flow/flow.hpp"
@@ -481,43 +480,36 @@ std::string oracle_db_roundtrip(OracleContext& ctx) {
   if (!reader.open(path1, &error)) return "reader rejected snapshot: " + error;
 
   const db::ChunkInfo* lib_chunk = reader.find(db::kChunkLibrary);
-  const db::ChunkInfo* design_chunk = reader.find(db::kChunkDesign);
-  const db::ChunkInfo* forest_chunk = reader.find(db::kChunkForest);
-  if (lib_chunk == nullptr || design_chunk == nullptr || forest_chunk == nullptr) {
+  const auto designs = db::collect_indexed(reader, db::kChunkDesign, 1);
+  const auto forests = db::collect_indexed(reader, db::kChunkForest, 1);
+  if (lib_chunk == nullptr || !designs || !forests) {
     return "snapshot missing LIBR/DSGN/FRST chunks";
   }
+  const db::ByteSpan lib_bytes{reader.payload(*lib_chunk),
+                               static_cast<std::size_t>(lib_chunk->size)};
+  const db::ByteSpan design_bytes = designs->front();
+  const db::ByteSpan forest_bytes = forests->front();
 
-  const auto lib = db::decode_library(reader.payload(*lib_chunk),
-                                      static_cast<std::size_t>(lib_chunk->size));
+  const auto lib = db::decode_library(lib_bytes.data, lib_bytes.size);
   if (!lib) return "LIBR chunk does not decode";
-  const auto design = db::decode_design(reader.payload(*design_chunk) + 4,
-                                        static_cast<std::size_t>(design_chunk->size) - 4, *lib);
+  const auto design = db::decode_design(design_bytes.data, design_bytes.size, *lib);
   if (!design) return "DSGN chunk does not decode";
-  const auto forest = db::decode_forest(reader.payload(*forest_chunk) + 4,
-                                        static_cast<std::size_t>(forest_chunk->size) - 4);
+  const auto forest = db::decode_forest(forest_bytes.data, forest_bytes.size);
   if (!forest) return "FRST chunk does not decode";
 
   // Re-encode the decoded objects: every chunk payload must reproduce the
   // stored bytes exactly (save -> load -> save is the identity).
-  const std::vector<std::uint8_t> lib_again = db::encode_library(*lib);
-  if (lib_again.size() != lib_chunk->size ||
-      std::memcmp(lib_again.data(), reader.payload(*lib_chunk), lib_again.size()) != 0) {
+  auto same_bytes = [](const std::vector<std::uint8_t>& again, db::ByteSpan stored) {
+    return again.size() == stored.size &&
+           std::memcmp(again.data(), stored.data, again.size()) == 0;
+  };
+  if (!same_bytes(db::encode_library(*lib), lib_bytes)) {
     return "library payload not byte-stable across decode/encode";
   }
-  db::ByteWriter design_again;
-  design_again.u32(0);
-  design_again.raw(db::encode_design(design->spec, design->design));
-  if (design_again.bytes().size() != design_chunk->size ||
-      std::memcmp(design_again.bytes().data(), reader.payload(*design_chunk),
-                  design_again.bytes().size()) != 0) {
+  if (!same_bytes(db::encode_design(design->spec, design->design), design_bytes)) {
     return "design payload not byte-stable across decode/encode";
   }
-  db::ByteWriter forest_again;
-  forest_again.u32(0);
-  forest_again.raw(db::encode_forest(*forest));
-  if (forest_again.bytes().size() != forest_chunk->size ||
-      std::memcmp(forest_again.bytes().data(), reader.payload(*forest_chunk),
-                  forest_again.bytes().size()) != 0) {
+  if (!same_bytes(db::encode_forest(*forest), forest_bytes)) {
     return "forest payload not byte-stable across decode/encode";
   }
 

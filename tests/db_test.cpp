@@ -190,6 +190,56 @@ TEST(Container, RejectsBadMagicAndVersion) {
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
+TEST(Codecs, SnapshotRecordLayout) {
+  db::SnapshotMeta meta;
+  meta.kind = "serve";
+  meta.tag = "t";
+  meta.design_count = 2;
+  meta.has_model = true;
+  meta.final_train_loss = 0.5;
+  meta.library_fingerprint = 0xABCD1234u;
+  const std::vector<std::uint8_t> meta_bytes = db::encode_meta(meta);
+  const auto meta_back = db::decode_meta(meta_bytes.data(), meta_bytes.size());
+  ASSERT_TRUE(meta_back.has_value());
+  EXPECT_EQ(meta_back->kind, "serve");
+  EXPECT_EQ(meta_back->tag, "t");
+  EXPECT_EQ(meta_back->design_count, 2u);
+  EXPECT_TRUE(meta_back->has_model);
+  EXPECT_EQ(meta_back->final_train_loss, 0.5);
+  EXPECT_EQ(meta_back->library_fingerprint, 0xABCD1234u);
+  EXPECT_FALSE(db::decode_meta(meta_bytes.data(), meta_bytes.size() - 1).has_value());
+
+  const std::vector<std::uint8_t> cal_bytes = db::encode_calibration({1.5, 2.0, 3.0});
+  ASSERT_EQ(cal_bytes.size(), 24u);
+  const auto cal = db::decode_calibration(cal_bytes.data(), cal_bytes.size());
+  ASSERT_TRUE(cal.has_value());
+  EXPECT_EQ(cal->fixed_v_cap, 3.0);
+  EXPECT_FALSE(db::decode_calibration(cal_bytes.data(), 16).has_value());
+
+  // Families are collected by their index prefix, not file order; a gap, a
+  // duplicate or a chunk shorter than the prefix rejects the family.
+  const std::string path = temp_path("indexed.tsdb");
+  db::DbWriter writer;
+  ASSERT_TRUE(writer.open(path));
+  ASSERT_TRUE(writer.add_chunk(db::kChunkForest, db::index_prefixed(1, {7})));
+  ASSERT_TRUE(writer.add_chunk(db::kChunkForest, db::index_prefixed(0, {5, 6})));
+  ASSERT_TRUE(writer.add_chunk(db::kChunkDesign, db::index_prefixed(0, {})));
+  ASSERT_TRUE(writer.add_chunk(db::kChunkDesign, db::index_prefixed(0, {})));
+  ASSERT_TRUE(writer.add_chunk(db::kChunkSample, {0, 0}));
+  ASSERT_TRUE(writer.finish());
+  db::DbReader reader;
+  ASSERT_TRUE(reader.open(path));
+  const auto forests = db::collect_indexed(reader, db::kChunkForest, 2);
+  ASSERT_TRUE(forests.has_value());
+  EXPECT_EQ((*forests)[0].size, 2u);
+  EXPECT_EQ((*forests)[0].data[0], 5);
+  EXPECT_EQ((*forests)[1].data[0], 7);
+  EXPECT_FALSE(db::collect_indexed(reader, db::kChunkForest, 3).has_value());
+  EXPECT_FALSE(db::collect_indexed(reader, db::kChunkForest, 1).has_value());
+  EXPECT_FALSE(db::collect_indexed(reader, db::kChunkDesign, 1).has_value());
+  EXPECT_FALSE(db::collect_indexed(reader, db::kChunkSample, 1).has_value());
+}
+
 TEST(Codecs, LibraryRoundTripFieldForField) {
   const std::vector<std::uint8_t> bytes = db::encode_library(lib());
   const auto loaded = db::decode_library(bytes.data(), bytes.size());
@@ -362,46 +412,18 @@ TEST(ModelSerialize, ContainerRoundTripAndMismatchRejection) {
   EXPECT_FALSE(load_model(path, cfg, lib().num_types(), "tag-a").has_value());
 }
 
-TEST(ModelSerialize, LegacyTextFallbackStillLoads) {
+TEST(ModelSerialize, TextFormatFileIsRejectedCleanly) {
+  // The pre-container plain-text cache format is no longer read: such a file
+  // is a stale cache like any other, so load_model() refuses it (the caller
+  // retrains) instead of crashing or misloading.
   GnnConfig cfg;
   cfg.hidden = 10;
-  TimingGnn model(cfg, lib().num_types());
-  const std::string path = temp_path("model_legacy.txt");
-  ASSERT_TRUE(save_model_text(model, path, "legacy-tag"));
-  const auto loaded = load_model(path, cfg, lib().num_types(), "legacy-tag");
-  ASSERT_TRUE(loaded.has_value());
-  for (std::size_t p = 0; p < model.parameters().size(); ++p) {
-    const Tensor& a = model.parameters()[p];
-    const Tensor& b = loaded->parameters()[p];
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_NEAR(a[i], b[i], 1e-12);  // text round-trip, %.17g precision
-    }
+  const std::string path = temp_path("model_text.txt");
+  {
+    std::ofstream out(path);
+    out << "tsteiner-model-v1\ntag text-tag\ncfg 10 8 16 3 0.5 1 7 -1\n1\n1 2\n0.5 0.25\n";
   }
-  EXPECT_FALSE(load_model(path, cfg, lib().num_types(), "other-tag").has_value());
-}
-
-TEST(Snapshot, DesignSnapshotReproducesSignoffBitExactly) {
-  BenchmarkSpec spec;
-  spec.name = "snap_design";
-  spec.target_cells = 400;
-  spec.endpoints = 40;
-  spec.seed = 7;
-  const std::string path = temp_path("design_snap.tsdb");
-  std::remove(path.c_str());
-
-  FlowOptions fopts;
-  PreparedDesign cold = prepare_design(lib(), spec, 1.0, fopts, path);
-  ASSERT_NE(cold.design, nullptr);
-  PreparedDesign warm = prepare_design(lib(), spec, 1.0, fopts, path);
-  ASSERT_NE(warm.design, nullptr);
-
-  EXPECT_EQ(warm.design->cells().size(), cold.design->cells().size());
-  EXPECT_DOUBLE_EQ(warm.design->clock_period(), cold.design->clock_period());
-  const FlowResult a = cold.flow->run_signoff(cold.flow->initial_forest());
-  const FlowResult b = warm.flow->run_signoff(warm.flow->initial_forest());
-  EXPECT_EQ(std::memcmp(&a.metrics, &b.metrics, sizeof(a.metrics)), 0);
-  EXPECT_DOUBLE_EQ(a.sta.wns, b.sta.wns);
-  EXPECT_DOUBLE_EQ(a.sta.tns, b.sta.tns);
+  EXPECT_FALSE(load_model(path, cfg, lib().num_types(), "text-tag").has_value());
 }
 
 TEST(Snapshot, SuiteRoundTripRestoresEverything) {

@@ -20,8 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "db/container.hpp"
+#include "flow/experiment.hpp"
 #include "flow/flow.hpp"
 #include "flow/incremental_signoff.hpp"
+#include "flow/snapshot.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "serve/client.hpp"
@@ -395,6 +398,75 @@ TEST(SessionManager, StaleSnapshotFileIsReloaded) {
   // The first session still pins its (now stale) design and still validates
   // against the fingerprint it was opened with.
   EXPECT_NE(mgr.find(s1->id, fp1, &error), nullptr);
+}
+
+// --- snapshot rejection -----------------------------------------------------
+
+/// Loads `path` as a serve design, expects the load to fail with a message,
+/// and returns that message.
+std::string load_error(const std::string& path) {
+  std::string error;
+  const auto loaded = serve::load_session_design(path, FlowOptions{}, &error);
+  EXPECT_EQ(loaded, nullptr) << path;
+  EXPECT_FALSE(error.empty()) << path;
+  return error;
+}
+
+TEST(SessionLoad, RejectsSuiteKindSnapshot) {
+  SuiteOptions options;
+  TrainedSuite suite;
+  suite.lib = std::make_unique<CellLibrary>(CellLibrary::make_default());
+  BenchmarkSpec spec;
+  spec.name = "serve_reject_suite";
+  spec.target_cells = 200;
+  spec.endpoints = 20;
+  spec.seed = 5;
+  suite.designs.push_back(prepare_design(*suite.lib, spec, 1.0, options.flow));
+  const PreparedDesign& pd = suite.designs.front();
+  suite.base_samples.push_back(make_training_sample(pd, pd.flow->initial_forest()));
+  const std::string path = temp_path("reject_suite.tsdb");
+  ASSERT_TRUE(save_suite_snapshot(suite, options, path));
+  EXPECT_NE(load_error(path).find("serve-kind"), std::string::npos);
+}
+
+TEST(SessionLoad, RejectsFuzzCaseSnapshot) {
+  const std::string path = temp_path("reject_fuzz.tsdb");
+  ASSERT_TRUE(verify::save_case_snapshot(verify::make_case(17, "tiny"), path));
+  EXPECT_NE(load_error(path).find("serve-kind"), std::string::npos);
+}
+
+TEST(SessionLoad, RejectsBitFlippedServeSnapshot) {
+  const std::string path = write_snapshot(18, "reject_flip.tsdb", /*with_model=*/true);
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 128u);
+  bytes[bytes.size() / 2] ^= 0x01;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_NE(load_error(path).find("CRC mismatch"), std::string::npos);
+}
+
+TEST(SessionLoad, RejectsServeSnapshotWithoutCalibration) {
+  // Every chunk intact except that the design record lost its FCAL chunk:
+  // the shared design-record reader must name the missing chunk.
+  const std::string full = write_snapshot(19, "reject_full.tsdb");
+  db::DbReader reader;
+  ASSERT_TRUE(reader.open(full));
+  const std::string path = temp_path("reject_nocal.tsdb");
+  db::DbWriter writer;
+  ASSERT_TRUE(writer.open(path));
+  for (const db::ChunkInfo& c : reader.chunks()) {
+    if (c.type == db::kChunkFlowCal) continue;
+    const std::uint8_t* payload = reader.payload(c);
+    ASSERT_TRUE(writer.add_chunk(c.type, {payload, payload + c.size}));
+  }
+  ASSERT_TRUE(writer.finish());
+  EXPECT_NE(load_error(path).find("has no calibration chunk"), std::string::npos);
 }
 
 // --- end-to-end server ------------------------------------------------------

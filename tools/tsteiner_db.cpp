@@ -4,9 +4,9 @@
 //   tsteiner_db verify <file>               structure, CRCs, and decode probes
 //   tsteiner_db extract <file> <TYPE> <out> [n]
 //                                           nth chunk of TYPE (default 0):
-//                                           FRST decodes to the text forest
-//                                           format, everything else dumps the
-//                                           raw payload bytes
+//                                           FRST decodes design n's forest to
+//                                           the text forest format, everything
+//                                           else dumps the raw payload bytes
 //
 // verify exits nonzero on any problem, so CI can gate on snapshot health.
 #include <cstdio>
@@ -24,33 +24,9 @@
 namespace {
 
 using tsteiner::db::ByteReader;
+using tsteiner::db::ByteSpan;
 using tsteiner::db::ChunkInfo;
 using tsteiner::db::DbReader;
-
-struct MetaView {
-  std::string kind;
-  std::string tag;
-  std::uint32_t design_count = 0;
-  bool has_model = false;
-  double final_train_loss = 0.0;
-  std::uint32_t library_fingerprint = 0;
-  bool ok = false;
-};
-
-// Mirrors the META layout written by flow/snapshot (kind, tag, design count,
-// model flag, final loss, library fingerprint).
-MetaView parse_meta(const std::uint8_t* data, std::size_t size) {
-  ByteReader r(data, size);
-  MetaView m;
-  m.kind = r.str();
-  m.tag = r.str();
-  m.design_count = r.u32();
-  m.has_model = r.u8() != 0;
-  m.final_train_loss = r.f64();
-  m.library_fingerprint = r.u32();
-  m.ok = r.done();
-  return m;
-}
 
 int cmd_info(const std::string& path) {
   DbReader reader;
@@ -67,14 +43,12 @@ int cmd_info(const std::string& path) {
                 static_cast<unsigned long long>(c.offset),
                 static_cast<unsigned long long>(c.size), c.crc);
   }
-  if (const ChunkInfo* meta_chunk = reader.find(tsteiner::db::kChunkMeta)) {
-    const MetaView m =
-        parse_meta(reader.payload(*meta_chunk), static_cast<std::size_t>(meta_chunk->size));
-    if (m.ok) {
-      std::printf("meta: kind=%s designs=%u model=%s loss=%.6f libfp=%08X\n", m.kind.c_str(),
-                  m.design_count, m.has_model ? "yes" : "no", m.final_train_loss,
-                  m.library_fingerprint);
-      if (!m.tag.empty()) std::printf("tag:  %s\n", m.tag.c_str());
+  if (reader.find(tsteiner::db::kChunkMeta) != nullptr) {
+    if (const auto m = tsteiner::db::read_meta(reader)) {
+      std::printf("meta: kind=%s designs=%u model=%s loss=%.6f libfp=%08X\n", m->kind.c_str(),
+                  m->design_count, m->has_model ? "yes" : "no", m->final_train_loss,
+                  m->library_fingerprint);
+      if (!m->tag.empty()) std::printf("tag:  %s\n", m->tag.c_str());
     } else {
       std::printf("meta: (unparseable)\n");
     }
@@ -98,13 +72,12 @@ int cmd_verify(const std::string& path) {
     ++failures;
   };
 
-  const ChunkInfo* meta_chunk = reader.find(tsteiner::db::kChunkMeta);
-  MetaView meta;
-  if (meta_chunk == nullptr) {
+  std::optional<tsteiner::db::SnapshotMeta> meta;
+  if (reader.find(tsteiner::db::kChunkMeta) == nullptr) {
     fail("missing META chunk");
   } else {
-    meta = parse_meta(reader.payload(*meta_chunk), static_cast<std::size_t>(meta_chunk->size));
-    if (!meta.ok) fail("META chunk does not parse");
+    meta = tsteiner::db::read_meta(reader);
+    if (!meta) fail("META chunk does not parse");
   }
 
   std::optional<tsteiner::CellLibrary> lib;
@@ -113,37 +86,35 @@ int cmd_verify(const std::string& path) {
     if (!lib) fail("LIBR chunk does not decode");
   }
 
-  for (const ChunkInfo* c : reader.find_all(tsteiner::db::kChunkForest)) {
-    if (c->size < 4) {
-      fail("FRST chunk shorter than its index prefix");
-      continue;
-    }
-    if (!tsteiner::db::decode_forest(reader.payload(*c) + 4,
-                                     static_cast<std::size_t>(c->size) - 4)) {
+  // Per-design chunk families present in the file must each cover the META
+  // design count exactly once (a fuzz case, for one, has no FCAL family).
+  auto indexed = [&](std::uint32_t type, const char* what) {
+    if (reader.find(type) == nullptr) return std::vector<ByteSpan>{};
+    auto spans = tsteiner::db::collect_indexed(reader, type, meta ? meta->design_count : 0);
+    if (!spans) fail(what);
+    return spans.value_or(std::vector<ByteSpan>{});
+  };
+  for (const ByteSpan& f :
+       indexed(tsteiner::db::kChunkForest, "FRST chunks do not match the design indices")) {
+    if (!tsteiner::db::decode_forest(f.data, f.size)) {
       fail("FRST chunk does not decode to a valid forest");
     }
   }
-  for (const ChunkInfo* c : reader.find_all(tsteiner::db::kChunkDesign)) {
-    if (c->size < 4) {
-      fail("DSGN chunk shorter than its index prefix");
-      continue;
-    }
-    if (lib && !tsteiner::db::decode_design(reader.payload(*c) + 4,
-                                            static_cast<std::size_t>(c->size) - 4, *lib)) {
+  for (const ByteSpan& d :
+       indexed(tsteiner::db::kChunkDesign, "DSGN chunks do not match the design indices")) {
+    if (lib && !tsteiner::db::decode_design(d.data, d.size, *lib)) {
       fail("DSGN chunk does not decode against the embedded library");
     }
   }
-  for (const ChunkInfo* c : reader.find_all(tsteiner::db::kChunkFlowCal)) {
-    ByteReader r(reader.payload(*c), static_cast<std::size_t>(c->size));
-    r.u32();  // index
-    r.f64();  // clock period
-    r.f64();  // fixed H capacity
-    r.f64();  // fixed V capacity
-    if (!r.done()) fail("FCAL chunk has the wrong size");
+  for (const ByteSpan& c :
+       indexed(tsteiner::db::kChunkFlowCal, "FCAL chunks do not match the design indices")) {
+    if (!tsteiner::db::decode_calibration(c.data, c.size)) {
+      fail("FCAL chunk has the wrong size");
+    }
   }
-  for (const ChunkInfo* c : reader.find_all(tsteiner::db::kChunkSample)) {
-    ByteReader r(reader.payload(*c), static_cast<std::size_t>(c->size));
-    r.u32();  // index
+  for (const ByteSpan& sample :
+       indexed(tsteiner::db::kChunkSample, "SMPL chunks do not match the design indices")) {
+    ByteReader r(sample.data, sample.size);
     r.str();  // design name
     const std::size_t nx = r.f64_vec().size();
     const std::size_t ny = r.f64_vec().size();
@@ -184,12 +155,14 @@ int cmd_extract(const std::string& path, const std::string& type_name,
   const ChunkInfo& chunk = *matches[static_cast<std::size_t>(nth)];
 
   if (type == tsteiner::db::kChunkForest) {
-    if (chunk.size < 4) {
-      std::fprintf(stderr, "error: FRST chunk shorter than its index prefix\n");
+    const auto forests = tsteiner::db::collect_indexed(
+        reader, type, static_cast<std::uint32_t>(matches.size()));
+    if (!forests) {
+      std::fprintf(stderr, "error: FRST chunks do not match the design indices\n");
       return 1;
     }
-    auto forest = tsteiner::db::decode_forest(reader.payload(chunk) + 4,
-                                              static_cast<std::size_t>(chunk.size) - 4);
+    const ByteSpan& f = (*forests)[static_cast<std::size_t>(nth)];
+    auto forest = tsteiner::db::decode_forest(f.data, f.size);
     if (!forest) {
       std::fprintf(stderr, "error: FRST chunk does not decode\n");
       return 1;
