@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "route/maze.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
 
@@ -30,48 +30,7 @@ double RoutedConnection::length_dbu(const GridGraph& grid, const PointF& a,
 
 namespace {
 
-/// Congestion cost of crossing one gcell edge with current usage u and
-/// capacity c: gentle below capacity, steep above (negotiated congestion).
-double edge_penalty(double usage, double cap, double history) {
-  const double util = usage / cap;
-  double p = 0.3 * util + history;
-  if (usage >= cap) p += 3.0 + 3.0 * (usage - cap + 1.0) / cap;
-  return p;
-}
-
-/// Append an axis-aligned run of gcells from path.back() to `to` (same row
-/// or column).
-void append_run(std::vector<GCell>& path, GCell to) {
-  GCell cur = path.back();
-  while (!(cur == to)) {
-    if (cur.x != to.x) {
-      cur.x += to.x > cur.x ? 1 : -1;
-    } else {
-      cur.y += to.y > cur.y ? 1 : -1;
-    }
-    path.push_back(cur);
-  }
-}
-
-/// Route a -> b with one of the two L-patterns, chosen by endpoint parity so
-/// bends spread evenly. The choice is deliberately a pure function of the
-/// endpoints — never of usage — so every base path depends only on its own
-/// connection's gcell endpoints. Congestion is negotiated by the maze rounds
-/// instead: a usage-aware initial L choice would couple each base path to
-/// the commit order of every earlier one, and in a replay a single moved
-/// tree could flip near-tied L choices across the whole die, destroying the
-/// locality the maze cache depends on. Purity is also what lets the replay
-/// patch only moved connections instead of re-walking all n patterns.
-std::vector<GCell> pattern_path(GCell a, GCell b) {
-  std::vector<GCell> path{a};
-  if (a == b) return path;
-  const bool x_first = ((a.x + a.y + b.x + b.y) & 1) == 0;
-  const GCell corner = x_first ? GCell{b.x, a.y} : GCell{a.x, b.y};
-  append_run(path, corner);
-  append_run(path, b);
-  return path;
-}
-
+/// The exact inverse of apply_usage.
 void rip_up(GridGraph& grid, const std::vector<GCell>& path) {
   for (std::size_t i = 1; i < path.size(); ++i) {
     const GCell& p = path[i - 1];
@@ -82,104 +41,6 @@ void rip_up(GridGraph& grid, const std::vector<GCell>& path) {
       grid.add_v_usage(p.x, std::min(p.y, q.y), -1.0);
     }
   }
-}
-
-/// Commit an already-known path's usage (the exact inverse of rip_up, and
-/// bit-identical to the commits pattern_route / maze_route would perform
-/// while producing the same path).
-void apply_usage(GridGraph& grid, const std::vector<GCell>& path) {
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    const GCell& p = path[i - 1];
-    const GCell& q = path[i];
-    if (p.y == q.y) {
-      grid.add_h_usage(std::min(p.x, q.x), p.y, 1.0);
-    } else {
-      grid.add_v_usage(p.x, std::min(p.y, q.y), 1.0);
-    }
-  }
-}
-
-/// Dijkstra maze route within a window; commits usage. Falls back to the
-/// pattern route if the window somehow excludes a path (cannot happen for a
-/// bbox window, kept for safety).
-std::vector<GCell> maze_route(GridGraph& grid, GCell a, GCell b, int margin) {
-  if (a == b) return {a};
-  const int x_lo = std::max(0, std::min(a.x, b.x) - margin);
-  const int x_hi = std::min(grid.nx() - 1, std::max(a.x, b.x) + margin);
-  const int y_lo = std::max(0, std::min(a.y, b.y) - margin);
-  const int y_hi = std::min(grid.ny() - 1, std::max(a.y, b.y) + margin);
-  const int w = x_hi - x_lo + 1;
-  const int h = y_hi - y_lo + 1;
-  const auto idx = [&](int x, int y) {
-    return static_cast<std::size_t>(y - y_lo) * static_cast<std::size_t>(w) +
-           static_cast<std::size_t>(x - x_lo);
-  };
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(static_cast<std::size_t>(w) * static_cast<std::size_t>(h), kInf);
-  std::vector<int> prev(dist.size(), -1);
-  using QE = std::pair<double, std::size_t>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-  dist[idx(a.x, a.y)] = 0.0;
-  pq.push({0.0, idx(a.x, a.y)});
-  const std::size_t target = idx(b.x, b.y);
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    if (u == target) break;
-    const int ux = x_lo + static_cast<int>(u % static_cast<std::size_t>(w));
-    const int uy = y_lo + static_cast<int>(u / static_cast<std::size_t>(w));
-    const auto relax = [&](int vx, int vy, double edge_cost) {
-      const std::size_t v = idx(vx, vy);
-      if (dist[u] + edge_cost < dist[v]) {
-        dist[v] = dist[u] + edge_cost;
-        prev[v] = static_cast<int>(u);
-        pq.push({dist[v], v});
-      }
-    };
-    if (ux > x_lo) {
-      relax(ux - 1, uy,
-            1.0 + edge_penalty(grid.h_usage(ux - 1, uy), grid.h_capacity(),
-                               grid.h_history(ux - 1, uy)));
-    }
-    if (ux < x_hi) {
-      relax(ux + 1, uy,
-            1.0 + edge_penalty(grid.h_usage(ux, uy), grid.h_capacity(),
-                               grid.h_history(ux, uy)));
-    }
-    if (uy > y_lo) {
-      relax(ux, uy - 1,
-            1.0 + edge_penalty(grid.v_usage(ux, uy - 1), grid.v_capacity(),
-                               grid.v_history(ux, uy - 1)));
-    }
-    if (uy < y_hi) {
-      relax(ux, uy + 1,
-            1.0 + edge_penalty(grid.v_usage(ux, uy), grid.v_capacity(),
-                               grid.v_history(ux, uy)));
-    }
-  }
-  if (dist[target] == kInf) {
-    std::vector<GCell> fallback = pattern_path(a, b);
-    apply_usage(grid, fallback);
-    return fallback;
-  }
-  // Reconstruct, then commit.
-  std::vector<GCell> rev;
-  for (int v = static_cast<int>(target); v != -1; v = prev[static_cast<std::size_t>(v)]) {
-    rev.push_back({x_lo + static_cast<int>(static_cast<std::size_t>(v) % static_cast<std::size_t>(w)),
-                   y_lo + static_cast<int>(static_cast<std::size_t>(v) / static_cast<std::size_t>(w))});
-  }
-  std::reverse(rev.begin(), rev.end());
-  for (std::size_t i = 1; i < rev.size(); ++i) {
-    const GCell& p = rev[i - 1];
-    const GCell& q = rev[i];
-    if (p.y == q.y) {
-      grid.add_h_usage(std::min(p.x, q.x), p.y, 1.0);
-    } else {
-      grid.add_v_usage(p.x, std::min(p.y, q.y), 1.0);
-    }
-  }
-  return rev;
 }
 
 double p90(std::vector<double> xs) {
@@ -568,11 +429,8 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
       }
       bool reuse = false;
       if (same_before && caps_match) {
-        const int x_lo = std::max(0, std::min(a.x, b.x) - options_.maze_margin);
-        const int x_hi = std::min(grid.nx() - 1, std::max(a.x, b.x) + options_.maze_margin);
-        const int y_lo = std::max(0, std::min(a.y, b.y) - options_.maze_margin);
-        const int y_hi = std::min(grid.ny() - 1, std::max(a.y, b.y) + options_.maze_margin);
-        reuse = delta.window_clean(x_lo, y_lo, x_hi, y_hi);
+        const MazeWindow win = maze_window(grid, a, b, options_.maze_margin);
+        reuse = delta.window_clean(win.x_lo, win.y_lo, win.x_hi, win.y_hi);
       }
       if (reuse) {
         // The maze is a pure function of the window's usage/history and the

@@ -2,10 +2,19 @@
 //
 // Routes every two-pin edge of the Steiner forest on the gcell grid:
 // congestion-aware L-pattern routing first, then negotiated-congestion
-// rip-up-and-reroute (maze/Dijkstra with history costs) for connections
-// crossing overflowed edges. Capacities are calibrated from the initial
-// demand of the *baseline* forest and can be pinned via RouterOptions so a
-// TSteiner-refined forest is routed against identical resources.
+// rip-up-and-reroute with history costs for connections crossing overflowed
+// edges. Capacities are calibrated from the initial demand of the *baseline*
+// forest and can be pinned via RouterOptions so a TSteiner-refined forest is
+// routed against identical resources.
+//
+// Each reroute is one maze search (route/maze.hpp): an exact A* over the
+// connection's bbox window grown by `maze_margin`. Every edge costs at least
+// 1, so the Manhattan gcell distance to the target is a consistent
+// heuristic. The search stops once every open entry has f above g(target)
+// plus a 1e-7 relative slack for rounding, and the path is rebuilt from the
+// target with Dijkstra's tie rule (the exact predecessor with the smallest
+// (g, window index)). Paths are therefore bit-identical to a lazy-heap
+// Dijkstra over the same window.
 #pragma once
 
 #include <vector>
@@ -75,7 +84,10 @@ GlobalRouteResult global_route(const Design& design, const SteinerForest& forest
 /// victim selection, accounting), and only the expensive maze searches reuse
 /// cached results — and only when an exact per-edge field delta proves the
 /// maze window reads state bit-identical to the previous run's at the
-/// aligned point of the operation sequence. The replayed result is therefore
+/// aligned point of the operation sequence. The delta's window test covers
+/// every gcell of `maze_window`, a superset of the edges the A* search
+/// actually reads (it expands only gcells with f <= g(target)), so the test
+/// stays sound. The replayed result is therefore
 /// bit-identical to a fresh `global_route` of the same forest, at a cost of
 /// O(grid) + O(moved + mazed) instead of O(connections).
 ///

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,20 +31,32 @@
 // here); tests only ever compare deltas across their own code.
 static std::atomic<std::uint64_t> g_news{0};
 
-void* operator new(std::size_t n) {
+// Every replaced operator goes through this one matched pair. Keeping them
+// out of line means the compiler never sees a pointer from operator new
+// reach std::free inside an inlined operator delete. The nothrow forms are
+// replaced too (std::stable_sort allocates with them), so no block from the
+// library's operator new ever reaches counted_free.
+[[gnu::noinline]] static void* counted_alloc(std::size_t n) noexcept {
   ++g_news;
-  if (void* p = std::malloc(n)) return p;
+  return std::malloc(n);
+}
+[[gnu::noinline]] static void counted_free(void* p) noexcept { std::free(p); }
+
+static void* counted_alloc_or_throw(std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) {
-  ++g_news;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+void* operator new(std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new[](std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_free(p); }
 
 namespace tsteiner {
 namespace {
